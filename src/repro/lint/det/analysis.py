@@ -20,8 +20,6 @@ definition line kills the finding itself.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.lint.det.roots import replay_roots
 from repro.lint.det.rules import (
     RULE_DET_DICT_FROM_UNORDERED,
@@ -37,17 +35,10 @@ from repro.lint.det.rules import (
     RULE_DET_UNSORTED_FS,
     RULE_DET_WALL_CLOCK,
 )
-from repro.lint.det.scan import (
-    DetFact,
-    DetFactKind,
-    ModuleDetScan,
-    RootDecl,
-    scan_det_module,
-)
+from repro.lint.det.scan import DetFactKind, RootDecl, scan_det_module
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph, _GraphBuilder
-from repro.lint.flow.modgraph import build_module_graph
-from repro.lint.pycheck import _ignored_codes_by_line
+from repro.lint.flow.callgraph import CallGraph, analyze_tree
+from repro.lint.flow.chains import ChainAnalysis, readable, render_chain
 
 #: Instabilities that travel along call edges to a replay root.
 _PROPAGATED = {
@@ -71,50 +62,14 @@ _KIND_CODES = {
 }
 
 
-def _readable(qualname: str) -> str:
-    return qualname.replace(":<module>", " (import)").replace(":", ".")
-
-
-def _render_chain(chain: tuple[str, ...]) -> str:
-    return " -> ".join(_readable(part) for part in chain)
-
-
-class _DetAnalysis:
+class _DetAnalysis(ChainAnalysis):
     """One det pass over one built call graph."""
 
-    def __init__(self, graph: CallGraph,
-                 builder: _GraphBuilder) -> None:
-        self.graph = graph
-        self.builder = builder
-        self.waivers = {
-            name: _ignored_codes_by_line(node.source)
-            for name, node in graph.modules.modules.items()
-            if not node.parse_error}
-        self.det_scans: dict[str, ModuleDetScan] = {
+    def __init__(self, graph: CallGraph) -> None:
+        self.det_scans = {
             name: scan_det_module(name, scan)
-            for name, scan in sorted(builder.scans.items())}
-        self.facts: dict[str, tuple[DetFact, ...]] = {}
-        for name, det_scan in self.det_scans.items():
-            for qualname, found in det_scan.facts.items():
-                kept = tuple(
-                    fact for fact in found
-                    if not self._waived(name, fact.line,
-                                        _KIND_CODES[fact.kind]))
-                if kept:
-                    self.facts[qualname] = kept
-        self.findings: list[Finding] = []
-
-    def _waived(self, module: str, line: int,
-                codes: set[str]) -> bool:
-        table = self.waivers.get(module, {})
-        if line not in table:
-            return False
-        waived = table[line]
-        return waived is None or bool(waived & codes)
-
-    def _module_file(self, module: str) -> str:
-        node = self.graph.modules.modules.get(module)
-        return node.path if node is not None else module
+            for name, scan in sorted(graph.scans.items())}
+        super().__init__(graph, self.det_scans, _KIND_CODES)
 
     # -- roots ---------------------------------------------------------
 
@@ -152,8 +107,8 @@ class _DetAnalysis:
                     continue
                 self.findings.append(RULE_DET_INVALID_ROOT.finding(
                     f"replay-root declaration on "
-                    f"{_readable(qualname)!r}: {problem}",
-                    artifact=_readable(qualname), file=file,
+                    f"{readable(qualname)!r}: {problem}",
+                    artifact=readable(qualname), file=file,
                     line=line,
                 ))
         by_label: dict[str, list[str]] = {}
@@ -172,43 +127,16 @@ class _DetAnalysis:
                     continue
                 self.findings.append(RULE_DET_INVALID_ROOT.finding(
                     f"replay-root declaration on "
-                    f"{_readable(qualname)!r}: label {label!r} is "
+                    f"{readable(qualname)!r}: label {label!r} is "
                     f"already declared by "
-                    f"{_readable(holders[0])!r}; every root needs a "
+                    f"{readable(holders[0])!r}; every root needs a "
                     f"unique name",
-                    artifact=_readable(qualname),
+                    artifact=readable(qualname),
                     file=self._module_file(module), line=decl.line,
                 ))
         return declared
 
     # -- propagation ---------------------------------------------------
-
-    def _trace(self, root: str) -> dict[DetFactKind,
-                                        tuple[DetFact, str]]:
-        """Shortest (fact, holder chain) per kind from a root.
-
-        Deterministic breadth-first search over resolved call edges;
-        ``module:<module>`` pseudo-nodes are not descended into (see
-        module docstring).
-        """
-        traces: dict[DetFactKind, tuple[DetFact, tuple[str, ...]]] = {}
-        seen = {root}
-        queue: deque[tuple[str, tuple[str, ...]]] = deque(
-            [(root, (root,))])
-        while queue:
-            current, chain = queue.popleft()
-            for fact in self.facts.get(current, ()):
-                if fact.kind not in traces:
-                    traces[fact.kind] = (fact, chain)
-            info = self.graph.functions.get(current)
-            if info is None:
-                continue
-            for callee, _ in sorted(info.calls):
-                if callee.endswith(":<module>") or callee in seen:
-                    continue
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-        return traces
 
     def _root_findings(self, roots: dict[str, str]) -> None:
         for root, label in sorted(roots.items()):
@@ -226,12 +154,12 @@ class _DetAnalysis:
                 holder = self.graph.functions[chain[-1]]
                 fact_file = self._module_file(holder.module)
                 self.findings.append(rule.finding(
-                    f"replay root {_readable(root)!r}{suffix} "
+                    f"replay root {readable(root)!r}{suffix} "
                     f"reaches {fact.description} via "
-                    f"{_render_chain(chain)} "
+                    f"{render_chain(chain)} "
                     f"({fact_file}:{fact.line}); re-serialisation "
                     f"is not byte-stable",
-                    artifact=_readable(root),
+                    artifact=readable(root),
                     file=self._module_file(info.module),
                     line=info.lineno,
                 ))
@@ -247,13 +175,9 @@ class _DetAnalysis:
 
 def det_findings(graph: CallGraph) -> list[Finding]:
     """All DAS401–DAS412 findings for one analysed tree."""
-    builder = _GraphBuilder(graph.modules)
-    rebuilt = builder.build()
-    return _DetAnalysis(rebuilt, builder).run()
+    return _DetAnalysis(graph).run()
 
 
 def lint_tree_det(root) -> list[Finding]:
     """Run the determinism/replay pass over one file or directory."""
-    builder = _GraphBuilder(build_module_graph(root))
-    graph = builder.build()
-    return _DetAnalysis(graph, builder).run()
+    return det_findings(analyze_tree(root))

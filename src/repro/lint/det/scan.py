@@ -137,7 +137,11 @@ def _is_sorted_call(expr: ast.expr) -> bool:
 
 
 class _DetFunctionFacts:
-    """Direct-instability extraction over one function definition."""
+    """Direct-instability extraction over one function, in one walk.
+
+    Iterations are checked after the walk, against the last binding
+    of each name; a sanitizer call is visited before its arguments.
+    """
 
     def __init__(self, scan: _ModuleScan, funcdef) -> None:
         self.scan = scan
@@ -155,15 +159,6 @@ class _DetFunctionFacts:
         # Expressions consumed by a sanitizer: ``sorted(p.iterdir())``
         # is a deterministic enumeration, not a hazard.
         self.sanitized: set[int] = set()
-        for node in ast.walk(funcdef):
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                self.bindings[node.targets[0].id] = node.value
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _SANITIZERS):
-                for arg in node.args:
-                    self.sanitized.add(id(arg))
         self.facts: list[DetFact] = []
 
     def _add(self, kind: DetFactKind, description: str,
@@ -172,17 +167,24 @@ class _DetFunctionFacts:
                                   line=line))
 
     def run(self) -> tuple[DetFact, ...]:
+        iterations: list[tuple[ast.expr, int, bool]] = []
         for node in ast.walk(self.funcdef):
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                self._scan_iteration(node.iter, node.lineno,
-                                     dict_target=False)
+                iterations.append((node.iter, node.lineno, False))
             elif isinstance(node, (ast.ListComp, ast.SetComp,
                                    ast.GeneratorExp, ast.DictComp)):
-                for generator in node.generators:
-                    self._scan_iteration(
-                        generator.iter, node.lineno,
-                        dict_target=isinstance(node, ast.DictComp))
+                iterations.extend(
+                    (generator.iter, node.lineno,
+                     isinstance(node, ast.DictComp))
+                    for generator in node.generators)
+            elif isinstance(node, ast.Assign):
+                if (len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    self.bindings[node.targets[0].id] = node.value
             elif isinstance(node, ast.Call):
+                if (isinstance(node.func, ast.Name)
+                        and node.func.id in _SANITIZERS):
+                    self.sanitized.update(id(arg) for arg in node.args)
                 self._scan_call(node)
             elif isinstance(node, ast.Attribute):
                 self._scan_attribute(node)
@@ -190,6 +192,8 @@ class _DetFunctionFacts:
                 self._scan_format_spec(node)
             elif isinstance(node, ast.BinOp):
                 self._scan_percent_format(node)
+        for source, line, dict_target in iterations:
+            self._scan_iteration(source, line, dict_target)
         return tuple(sorted(
             set(self.facts),
             key=lambda f: (f.line, f.kind.value, f.description)))

@@ -73,6 +73,10 @@ class CallGraph:
     modules: ModuleGraph
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
+    #: The per-module scans the graph was resolved from; the par and
+    #: det passes read their facts off the same parsed trees.
+    scans: dict[str, _ModuleScan] = field(default_factory=dict,
+                                          repr=False, compare=False)
 
     def is_analysis_class(self, qualname: str,
                           _seen: frozenset = frozenset()) -> bool:
@@ -107,6 +111,75 @@ class CallGraph:
         return [f"{entry.qualname}.{method}"
                 for method in ANALYSIS_ENTRY_METHODS
                 if f"{entry.qualname}.{method}" in self.functions]
+
+    def method_on_class(self, class_qualname: str, method: str,
+                        depth: int = 0) -> str | None:
+        """Resolve a method through the class and its internal bases."""
+        info = self.classes.get(class_qualname)
+        if info is None or depth > _ALIAS_CHASE_LIMIT:
+            return None
+        if method in info.methods:
+            return f"{class_qualname}.{method}"
+        for base in info.bases:
+            member = self.modules.resolve_module(base)
+            if member is None:
+                continue
+            attr = base[len(member) + 1:]
+            found = self.method_on_class(f"{member}:{attr}", method,
+                                         depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    def lookup_attr(self, module: str, attr: str,
+                    depth: int = 0) -> str | None:
+        """An attribute path inside a tree module -> def qualname."""
+        if not attr or depth > _ALIAS_CHASE_LIMIT:
+            return None
+        scan = self.scans.get(module)
+        if scan is None:
+            return None
+        head, _, rest = attr.partition(".")
+        if head in scan.function_defs and not rest:
+            return f"{module}:{head}"
+        if head in scan.class_defs:
+            class_qualname = f"{module}:{head}"
+            if rest:
+                return self.method_on_class(class_qualname, rest)
+            init = self.method_on_class(class_qualname, "__init__")
+            # An edge to the class itself keeps it in the closure even
+            # when no tree-level __init__ exists.
+            return init or class_qualname
+        # Chase one re-export hop (package __init__ aliases).
+        target = scan.imports.alias_target(head)
+        if target is None:
+            return None
+        dotted = f"{target}.{rest}" if rest else target
+        member = self.modules.resolve_module(dotted)
+        if member is None or member == module:
+            return None
+        return self.lookup_attr(member, dotted[len(member) + 1:],
+                                depth + 1)
+
+    def resolve_call(self, module: str, dotted: str,
+                     class_name: str | None) -> str | None:
+        """A call target as written in ``module`` -> def qualname."""
+        scan = self.scans[module]
+        if class_name is not None and dotted.startswith("self."):
+            return self.method_on_class(f"{module}:{class_name}",
+                                        dotted[5:])
+        head = dotted.split(".")[0]
+        if scan.imports.alias_target(head) is None:
+            # Not an imported name: try the module's own namespace.
+            return self.lookup_attr(module, dotted)
+        resolved = scan.imports.resolve(dotted)
+        member = self.modules.resolve_module(resolved)
+        if member is None:
+            return None
+        attr = resolved[len(member) + 1:]
+        if not attr:
+            return None
+        return self.lookup_attr(member, attr)
 
 
 def _metadata_fields(call: ast.Call) -> tuple[str, str]:
@@ -147,9 +220,9 @@ def _find_metadata_call(klass: ast.ClassDef) -> ast.Call | None:
 class _ModuleScan:
     """Defs, import map, and module-level mutable names of one module."""
 
-    def __init__(self, node: ModuleNode, tree: ast.Module) -> None:
+    def __init__(self, node: ModuleNode) -> None:
         self.node = node
-        self.tree = tree
+        self.tree = tree = node.tree
         self.imports = _ImportMap(package=node.package)
         self.function_defs: dict[str, ast.FunctionDef] = {}
         self.class_defs: dict[str, ast.ClassDef] = {}
@@ -176,15 +249,13 @@ class _GraphBuilder:
 
     def __init__(self, modules: ModuleGraph) -> None:
         self.modules = modules
-        self.scans: dict[str, _ModuleScan] = {}
         self.graph = CallGraph(modules=modules)
+        self.scans = self.graph.scans
 
     def build(self) -> CallGraph:
         for name, node in sorted(self.modules.modules.items()):
-            if node.parse_error:
-                continue
-            tree = ast.parse(node.source, filename=node.path)
-            self.scans[name] = _ModuleScan(node, tree)
+            if node.tree is not None:
+                self.scans[name] = _ModuleScan(node)
         for name, scan in sorted(self.scans.items()):
             self._register_defs(name, scan)
         for name, scan in sorted(self.scans.items()):
@@ -230,93 +301,6 @@ class _GraphBuilder:
                 inspire_id=inspire,
             )
 
-    # -- lookup helpers ------------------------------------------------
-
-    def _has_function(self, module: str, attr: str) -> bool:
-        scan = self.scans.get(module)
-        if scan is None:
-            return False
-        head, _, rest = attr.partition(".")
-        if not rest:
-            return head in scan.function_defs
-        klass = scan.class_defs.get(head)
-        if klass is None:
-            return False
-        return any(isinstance(stmt, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef))
-                   and stmt.name == rest for stmt in klass.body)
-
-    def _method_on_class(self, class_qualname: str, method: str,
-                         depth: int = 0) -> str | None:
-        """Resolve a method through the class and its internal bases."""
-        info = self.graph.classes.get(class_qualname)
-        if info is None or depth > _ALIAS_CHASE_LIMIT:
-            return None
-        if method in info.methods:
-            return f"{class_qualname}.{method}"
-        for base in info.bases:
-            member = self.modules.resolve_module(base)
-            if member is None:
-                continue
-            attr = base[len(member) + 1:]
-            found = self._method_on_class(f"{member}:{attr}", method,
-                                          depth + 1)
-            if found is not None:
-                return found
-        return None
-
-    def _lookup_attr(self, module: str, attr: str,
-                     depth: int = 0) -> str | None:
-        """An attribute path inside a tree module -> def qualname."""
-        if not attr or depth > _ALIAS_CHASE_LIMIT:
-            return None
-        scan = self.scans.get(module)
-        if scan is None:
-            return None
-        head, _, rest = attr.partition(".")
-        if head in scan.function_defs and not rest:
-            return f"{module}:{head}"
-        if head in scan.class_defs:
-            class_qualname = f"{module}:{head}"
-            if rest:
-                return self._method_on_class(class_qualname, rest)
-            init = self._method_on_class(class_qualname, "__init__")
-            # An edge to the class itself keeps it in the closure even
-            # when no tree-level __init__ exists.
-            return init or class_qualname
-        # Chase one re-export hop (package __init__ aliases).
-        target = scan.imports.alias_target(head)
-        if target is None:
-            return None
-        dotted = f"{target}.{rest}" if rest else target
-        member = self.modules.resolve_module(dotted)
-        if member is None or member == module:
-            return None
-        return self._lookup_attr(member, dotted[len(member) + 1:],
-                                 depth + 1)
-
-    def _resolve_call(self, module: str, scan: _ModuleScan,
-                      dotted: str,
-                      class_name: str | None) -> str | None:
-        if class_name is not None and dotted.startswith("self."):
-            return self._method_on_class(f"{module}:{class_name}",
-                                         dotted[5:])
-        head = dotted.split(".")[0]
-        if scan.imports.alias_target(head) is None:
-            # Not an imported name: try the module's own namespace.
-            local = self._lookup_attr(module, dotted)
-            if local is not None:
-                return local
-            return None if "." not in dotted else None
-        resolved = scan.imports.resolve(dotted)
-        member = self.modules.resolve_module(resolved)
-        if member is None:
-            return None
-        attr = resolved[len(member) + 1:]
-        if not attr:
-            return None
-        return self._lookup_attr(member, attr)
-
     # -- pass 2: bodies ------------------------------------------------
 
     def _resolve_module(self, module: str, scan: _ModuleScan) -> None:
@@ -327,8 +311,9 @@ class _GraphBuilder:
             calls.append((f"{imported}:<module>", 0))
         for dotted, line in scan.node.imports:
             events.append(("import", dotted, line))
-        for stmt in self._import_time_statements(scan.tree):
-            self._scan_statement(module, scan, stmt, None, calls, events)
+        self._scan_statements(module, scan,
+                              self._import_time_statements(scan.tree),
+                              None, calls, events)
         self.graph.functions[pseudo] = FunctionInfo(
             qualname=pseudo, module=module, lineno=1,
             calls=tuple(sorted(set(calls))),
@@ -373,25 +358,24 @@ class _GraphBuilder:
         # Import-time effects of the defining module are visible to
         # every caller of the function: edge to the module pseudo-node.
         calls.append((f"{module}:<module>", funcdef.lineno))
-        global_names: set[str] = set()
-        for node in ast.walk(funcdef):
-            if isinstance(node, ast.Global):
-                global_names.update(node.names)
-        for stmt in funcdef.body:
-            self._scan_statement(module, scan, stmt, class_name,
-                                 calls, events, global_names)
+        self._scan_statements(module, scan, funcdef.body, class_name,
+                              calls, events, in_function=True)
         self.graph.functions[qualname] = FunctionInfo(
             qualname=qualname, module=module, lineno=funcdef.lineno,
             calls=tuple(sorted(set(calls))),
             events=tuple(sorted(set(events))),
         )
 
-    def _scan_statement(self, module: str, scan: _ModuleScan,
-                        stmt: ast.stmt, class_name: str | None,
-                        calls: list, events: list,
-                        global_names: set[str] | None = None) -> None:
-        globals_ = global_names or set()
-        for node in ast.walk(stmt):
+    def _scan_statements(self, module: str, scan: _ModuleScan,
+                         statements: list[ast.stmt],
+                         class_name: str | None, calls: list,
+                         events: list, in_function: bool = False) -> None:
+        """One walk over a body; a function's ``global`` names (found
+        anywhere in it, nested defs included) mark its name writes."""
+        global_names: set[str] = set()
+        name_writes: list[tuple[str, int]] = []
+        for node in (node for stmt in statements
+                     for node in ast.walk(stmt)):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     events.append(("import", alias.name, node.lineno))
@@ -423,10 +407,8 @@ class _GraphBuilder:
                            if isinstance(node, ast.Assign)
                            else [node.target])
                 for target in targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id in globals_):
-                        events.append(("global_write", target.id,
-                                       node.lineno))
+                    if isinstance(target, ast.Name):
+                        name_writes.append((target.id, node.lineno))
                     elif (isinstance(target, ast.Subscript)
                           and isinstance(target.value, ast.Name)
                           and target.value.id in scan.mutable_names):
@@ -437,6 +419,12 @@ class _GraphBuilder:
                   and isinstance(node.value, str)
                   and node.value.startswith("GT-")):
                 events.append(("tag", node.value, node.lineno))
+            elif isinstance(node, ast.Global):
+                global_names.update(node.names)
+        if in_function:
+            events.extend(("global_write", name, line)
+                          for name, line in name_writes
+                          if name in global_names)
 
     def _scan_call(self, module: str, scan: _ModuleScan,
                    node: ast.Call, class_name: str | None,
@@ -480,11 +468,11 @@ class _GraphBuilder:
                 and node.args):
             wrapped = _dotted_name(node.args[0])
             if wrapped is not None:
-                inner = self._resolve_call(module, scan, wrapped,
-                                           class_name)
+                inner = self.graph.resolve_call(module, wrapped,
+                                               class_name)
                 if inner is not None:
                     calls.append((inner, node.lineno))
-        target = self._resolve_call(module, scan, dotted, class_name)
+        target = self.graph.resolve_call(module, dotted, class_name)
         if target is not None:
             calls.append((target, node.lineno))
             return

@@ -36,6 +36,9 @@ class ModuleNode:
     external_imports: tuple[str, ...] = ()
     unresolved_imports: tuple[tuple[str, int], ...] = ()
     parse_error: str = ""
+    #: The parsed source, shared by every pass over this graph.
+    tree: ast.Module | None = field(default=None, compare=False,
+                                    repr=False)
 
     @property
     def package(self) -> str:
@@ -138,7 +141,8 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
     root = Path(root).resolve()
     anchor = _find_anchor(root)
     graph = ModuleGraph(anchor=anchor)
-    records: list[tuple[str, Path, str, str, list, str]] = []
+    records: list[tuple[str, Path, str, str, list, str,
+                        ast.Module | None]] = []
     for path in sorted(anchor.rglob("*.py")):
         relative = path.relative_to(anchor)
         name = _module_name(relative)
@@ -148,7 +152,7 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             records.append((name, relative, "", "", [],
-                            f"source unreadable: {exc}"))
+                            f"source unreadable: {exc}", None))
             continue
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
         package = (name if relative.name == "__init__.py"
@@ -157,10 +161,10 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             module = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
             records.append((name, relative, source, digest, [],
-                            f"source does not parse: {exc.msg}"))
+                            f"source does not parse: {exc.msg}", None))
             continue
         records.append((name, relative, source, digest,
-                        _collect_imports(module, package), ""))
+                        _collect_imports(module, package), "", module))
 
     known = {name for name, *_ in records}
 
@@ -172,7 +176,7 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
                 return candidate
         return None
 
-    for name, relative, source, digest, imports, error in records:
+    for name, relative, source, digest, imports, error, tree in records:
         internal: list[str] = []
         external: list[str] = []
         unresolved: list[tuple[str, int]] = []
@@ -204,6 +208,7 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             external_imports=tuple(sorted(set(external))),
             unresolved_imports=tuple(sorted(set(unresolved))),
             parse_error=error,
+            tree=tree,
         )
 
     if root.is_file():

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, ClassInfo, analyze_tree
+from repro.lint.flow.chains import render_chain
 from repro.lint.flow.rules import (
     RULE_CLOSURE_UNRESOLVED,
     RULE_DEEP_ENV,
@@ -177,9 +178,7 @@ class TaintTrace:
 
     def render_chain(self) -> str:
         """`a.f -> b.g -> c.h` with graph qualnames made readable."""
-        return " -> ".join(part.replace(":<module>", " (import)")
-                            .replace(":", ".")
-                           for part in self.chain)
+        return render_chain(self.chain)
 
 
 def trace_from(graph: CallGraph,

@@ -28,11 +28,10 @@ equivalent to defer to.
 from __future__ import annotations
 
 import ast
-from collections import deque
 
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph, _GraphBuilder
-from repro.lint.flow.modgraph import build_module_graph
+from repro.lint.flow.callgraph import CallGraph, analyze_tree
+from repro.lint.flow.chains import ChainAnalysis, readable, render_chain
 from repro.lint.par.rules import (
     RULE_PAR_ARG_ATTR_WRITE,
     RULE_PAR_EXACT_RNG,
@@ -47,14 +46,8 @@ from repro.lint.par.rules import (
     RULE_PAR_UNDERIVED_SEED,
     RULE_PAR_UNPICKLABLE,
 )
-from repro.lint.par.scan import (
-    DispatchSite,
-    ModuleParScan,
-    ParFact,
-    ParFactKind,
-    scan_par_module,
-)
-from repro.lint.pycheck import _dotted_name, _ignored_codes_by_line
+from repro.lint.par.scan import DispatchSite, ParFactKind, scan_par_module
+from repro.lint.pycheck import _dotted_name
 
 #: Hazards that travel along call edges to a worker root.
 _PROPAGATED = {
@@ -97,100 +90,62 @@ _KIND_CODES = {
 }
 
 
-def _readable(qualname: str) -> str:
-    return qualname.replace(":<module>", " (import)").replace(":", ".")
-
-
-def _render_chain(chain: tuple[str, ...]) -> str:
-    return " -> ".join(_readable(part) for part in chain)
-
-
-class _ParAnalysis:
+class _ParAnalysis(ChainAnalysis):
     """One par pass over one built call graph."""
 
-    def __init__(self, graph: CallGraph,
-                 builder: _GraphBuilder) -> None:
-        self.graph = graph
-        self.builder = builder
-        self.waivers = {
-            name: _ignored_codes_by_line(node.source)
-            for name, node in graph.modules.modules.items()
-            if not node.parse_error}
-        self.par_scans: dict[str, ModuleParScan] = {
+    def __init__(self, graph: CallGraph) -> None:
+        self.par_scans = {
             name: scan_par_module(name, scan)
-            for name, scan in sorted(builder.scans.items())}
-        self.facts: dict[str, tuple[ParFact, ...]] = {}
-        for name, par_scan in self.par_scans.items():
-            for qualname, found in par_scan.facts.items():
-                kept = tuple(
-                    fact for fact in found
-                    if not self._waived(name, fact.line,
-                                        _KIND_CODES[fact.kind]))
-                if kept:
-                    self.facts[qualname] = kept
-        self.findings: list[Finding] = []
-
-    def _waived(self, module: str, line: int,
-                codes: set[str]) -> bool:
-        table = self.waivers.get(module, {})
-        if line not in table:
-            return False
-        waived = table[line]
-        return waived is None or bool(waived & codes)
-
-    def _module_file(self, module: str) -> str:
-        node = self.graph.modules.modules.get(module)
-        return node.path if node is not None else module
+            for name, scan in sorted(graph.scans.items())}
+        super().__init__(graph, self.par_scans, _KIND_CODES)
 
     # -- worker roots --------------------------------------------------
 
     def _resolve_worker(self, site: DispatchSite
                         ) -> tuple[list[str], list[str]]:
-        """(root qualnames, unpicklable worker descriptions)."""
-        scan = self.builder.scans.get(site.module)
+        """(root qualnames, unpicklable worker descriptions).
+
+        Follows ``partial(f, ...)`` wrappers and simple local bindings
+        one step at a time until a name, a lambda or a dead end.
+        """
         roots: list[str] = []
         unpicklable: list[str] = []
         chased: set[str] = set()
-
-        def resolve(expr: ast.expr) -> None:
-            if isinstance(expr, ast.Lambda):
+        expr: ast.expr | None = site.worker
+        while expr is not None:
+            worker, expr = expr, None
+            if isinstance(worker, ast.Lambda):
                 unpicklable.append("a lambda")
-                for sub in ast.walk(expr.body):
+                for sub in ast.walk(worker.body):
                     if isinstance(sub, ast.Call):
                         dotted = _dotted_name(sub.func)
-                        if dotted is not None and scan is not None:
-                            target = self.builder._resolve_call(
-                                site.module, scan, dotted,
-                                site.class_name)
-                            if target is not None:
-                                roots.append(target)
-                return
-            if isinstance(expr, ast.Call):
-                dotted = _dotted_name(expr.func)
+                        if dotted is not None:
+                            roots.extend(self._resolve(site, dotted))
+            elif isinstance(worker, ast.Call):
+                dotted = _dotted_name(worker.func)
                 if (dotted is not None
                         and dotted.rpartition(".")[2] == "partial"
-                        and expr.args):
-                    resolve(expr.args[0])
-                return
-            dotted = _dotted_name(expr)
-            if dotted is None or scan is None:
-                return
-            if "." not in dotted and dotted in site.nested_names:
-                unpicklable.append(
-                    f"locally defined function {dotted!r}")
-                return
-            if ("." not in dotted and dotted in site.bindings
-                    and dotted not in chased):
-                chased.add(dotted)
-                resolve(site.bindings[dotted])
-                return
-            target = self.builder._resolve_call(
-                site.module, scan, dotted, site.class_name)
-            if target is not None:
-                roots.append(target)
-
-        resolve(site.worker)
+                        and worker.args):
+                    expr = worker.args[0]
+            else:
+                dotted = _dotted_name(worker)
+                if dotted is None:
+                    continue
+                if "." not in dotted and dotted in site.nested_names:
+                    unpicklable.append(
+                        f"locally defined function {dotted!r}")
+                elif ("." not in dotted and dotted in site.bindings
+                        and dotted not in chased):
+                    chased.add(dotted)
+                    expr = site.bindings[dotted]
+                else:
+                    roots.extend(self._resolve(site, dotted))
         return roots, unpicklable
+
+    def _resolve(self, site: DispatchSite, dotted: str) -> list[str]:
+        target = self.graph.resolve_call(site.module, dotted,
+                                         site.class_name)
+        return [] if target is None else [target]
 
     def _worker_roots(self) -> dict[str, list[DispatchSite]]:
         """Every resolved worker root in the target modules."""
@@ -218,38 +173,11 @@ class _ParAnalysis:
             f"{site.dispatcher}() dispatches {description} as a "
             f"parallel worker; process pools cannot pickle it, so "
             f"the call dies under mode='process' only",
-            artifact=_readable(site.caller),
+            artifact=readable(site.caller),
             file=self._module_file(site.module), line=site.line,
         ))
 
     # -- propagation ---------------------------------------------------
-
-    def _trace(self, root: str) -> dict[ParFactKind,
-                                        tuple[ParFact, str]]:
-        """Shortest (fact, holder chain) per hazard kind from a root.
-
-        Deterministic breadth-first search over resolved call edges;
-        ``module:<module>`` pseudo-nodes are not descended into (see
-        module docstring).
-        """
-        traces: dict[ParFactKind, tuple[ParFact, tuple[str, ...]]] = {}
-        seen = {root}
-        queue: deque[tuple[str, tuple[str, ...]]] = deque(
-            [(root, (root,))])
-        while queue:
-            current, chain = queue.popleft()
-            for fact in self.facts.get(current, ()):
-                if fact.kind not in traces:
-                    traces[fact.kind] = (fact, chain)
-            info = self.graph.functions.get(current)
-            if info is None:
-                continue
-            for callee, _ in sorted(info.calls):
-                if callee.endswith(":<module>") or callee in seen:
-                    continue
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-        return traces
 
     def _worker_findings(self) -> None:
         for root, sites in sorted(self._worker_roots().items()):
@@ -269,13 +197,13 @@ class _ParAnalysis:
                 holder = self.graph.functions[chain[-1]]
                 fact_file = self._module_file(holder.module)
                 self.findings.append(rule.finding(
-                    f"parallel worker {_readable(root)!r} "
+                    f"parallel worker {readable(root)!r} "
                     f"(dispatched by {site.dispatcher}() at "
                     f"{self._module_file(site.module)}:{site.line}) "
                     f"reaches {fact.description} via "
-                    f"{_render_chain(chain)} "
+                    f"{render_chain(chain)} "
                     f"({fact_file}:{fact.line})",
-                    artifact=_readable(root),
+                    artifact=readable(root),
                     file=self._module_file(info.module),
                     line=info.lineno,
                 ))
@@ -294,8 +222,8 @@ class _ParAnalysis:
                     continue
                 self.findings.append(RULE_PAR_INVALID_TIER.finding(
                     f"equivalence-tier declaration on "
-                    f"{_readable(qualname)!r}: {problem}",
-                    artifact=_readable(qualname), file=file,
+                    f"{readable(qualname)!r}: {problem}",
+                    artifact=readable(qualname), file=file,
                     line=line,
                 ))
             for qualname, decl in sorted(par_scan.tiers.items()):
@@ -309,9 +237,9 @@ class _ParAnalysis:
                     reported.add(rule.code)
                     self.findings.append(rule.finding(
                         f"{decl.tier}-tier kernel "
-                        f"{_readable(qualname)!r} has "
+                        f"{readable(qualname)!r} has "
                         f"{fact.description} ({file}:{fact.line})",
-                        artifact=_readable(qualname), file=file,
+                        artifact=readable(qualname), file=file,
                         line=fact.line,
                     ))
 
@@ -323,13 +251,9 @@ class _ParAnalysis:
 
 def par_findings(graph: CallGraph) -> list[Finding]:
     """All DAS301–DAS312 findings for one analysed tree."""
-    builder = _GraphBuilder(graph.modules)
-    rebuilt = builder.build()
-    return _ParAnalysis(rebuilt, builder).run()
+    return _ParAnalysis(graph).run()
 
 
 def lint_tree_par(root) -> list[Finding]:
     """Run the parallel-safety pass over one file or directory."""
-    builder = _GraphBuilder(build_module_graph(root))
-    graph = builder.build()
-    return _ParAnalysis(graph, builder).run()
+    return par_findings(analyze_tree(root))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.columnar.tiers import EQUIVALENCE_TIERS
@@ -43,6 +44,9 @@ _VIEW_METHODS = {"reshape", "ravel", "view", "transpose", "swapaxes",
 #: numpy-level functions returning views (or no-copy passthroughs).
 _VIEW_FUNCTIONS = {"asarray", "ravel", "transpose", "atleast_1d",
                    "squeeze", "broadcast_to"}
+
+#: Statements whose body repeats.
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
 
 #: Methods where writes to ``self`` are construction, not mutation.
 _CONSTRUCTOR_METHODS = {"__init__", "__post_init__", "__new__",
@@ -129,15 +133,6 @@ def _own_params(funcdef) -> list[str]:
     return names
 
 
-def _walk_with_loops(node: ast.AST, in_loop: bool = False):
-    """``ast.walk`` that remembers whether a node repeats in a loop."""
-    yield node, in_loop
-    inside = in_loop or isinstance(node, (ast.For, ast.AsyncFor,
-                                          ast.While))
-    for child in ast.iter_child_nodes(node):
-        yield from _walk_with_loops(child, inside)
-
-
 def _has_slice(subscript: ast.Subscript) -> bool:
     index = subscript.slice
     if isinstance(index, ast.Slice):
@@ -170,48 +165,112 @@ def _seed_is_derived(call: ast.Call, params: set[str]) -> bool:
 
 
 class _FunctionFacts:
-    """Direct-hazard extraction over one function definition."""
+    """Direct hazards and dispatch sites of one function, in one walk.
 
-    def __init__(self, scan: _ModuleScan, funcdef,
-                 class_name: str | None) -> None:
+    The walk visits each body statement's subtree breadth-first, in
+    statement order, so the last ``name = expr`` binding it records is
+    the one the worker resolution has always used. Stores, calls and
+    returns are checked after the walk, once the parameters and
+    ``global`` names of nested defs further down are known.
+    """
+
+    def __init__(self, scan: _ModuleScan, module: str, caller: str,
+                 class_name: str | None, body: list[ast.stmt],
+                 funcdef=None) -> None:
         self.scan = scan
-        self.funcdef = funcdef
+        self.module = module
+        self.caller = caller
         self.class_name = class_name
         self.constructing = (class_name is not None
-                            and funcdef.name in _CONSTRUCTOR_METHODS)
+                             and funcdef is not None
+                             and funcdef.name in _CONSTRUCTOR_METHODS)
         # Parameters of the function *and* of its nested defs/lambdas:
         # a nested helper mutating its own parameter almost always
         # received the enclosing function's array.
-        params = set(_own_params(funcdef))
-        for sub in ast.walk(funcdef):
-            if sub is not funcdef and isinstance(
-                    sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                          ast.Lambda)):
-                params.update(_own_params(sub))
-        params.discard("self")
-        params.discard("cls")
-        self.params = params
-        self.globals_: set[str] = {
-            name for node in ast.walk(funcdef)
-            if isinstance(node, ast.Global) for name in node.names}
+        self.params: set[str] = set()
+        self.globals_: set[str] = set()
+        self.nested: set[str] = set()
+        # Last simple ``name = expr`` binding per local name: worker
+        # callables are routinely built a line above the dispatch call.
+        self.bindings: dict[str, ast.expr] = {}
+        self.stores: list[tuple[ast.stmt, bool]] = []
+        self.calls: list[tuple[ast.Call, bool]] = []  # (call, in body)
+        self.returns: list[ast.Return] = []
         self.facts: list[ParFact] = []
+        for stmt in body:
+            self._walk(stmt, in_body=True)
+        if funcdef is not None:
+            self.params.update(_own_params(funcdef))
+            # Decorators, defaults and annotations run outside the body.
+            for name, value in ast.iter_fields(funcdef):
+                for part in (value if isinstance(value, list)
+                             else [value]):
+                    if name != "body" and isinstance(part, ast.AST):
+                        self._walk(part, in_body=False)
+        self.params.discard("self")
+        self.params.discard("cls")
+
+    def _walk(self, root: ast.AST, in_body: bool) -> None:
+        queue = deque([(root, False)])
+        while queue:
+            node, in_loop = queue.popleft()
+            if isinstance(node, ast.Call):
+                self.calls.append((node, in_body))
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                self.stores.append((node, in_loop))
+                if (in_body and isinstance(node, ast.Assign)
+                        and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    self.bindings[node.targets[0].id] = node.value
+            elif isinstance(node, ast.Return):
+                self.returns.append(node)
+            elif isinstance(node, ast.Global):
+                self.globals_.update(node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                self.params.update(_own_params(node))
+                if in_body and not isinstance(node, ast.Lambda):
+                    self.nested.add(node.name)
+            inside = in_loop or isinstance(node, _LOOPS)
+            queue.extend((child, inside)
+                         for child in ast.iter_child_nodes(node))
 
     def _add(self, kind: ParFactKind, description: str,
              line: int) -> None:
         self.facts.append(ParFact(kind=kind, description=description,
                                   line=line))
 
-    def run(self) -> tuple[ParFact, ...]:
-        for node, in_loop in _walk_with_loops(self.funcdef):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                self._scan_store(node, in_loop)
-            elif isinstance(node, ast.Call):
-                self._scan_call(node, in_loop)
-            elif isinstance(node, ast.Return):
-                self._scan_return(node)
+    def hazards(self) -> tuple[ParFact, ...]:
+        for node, in_loop in self.stores:
+            self._scan_store(node, in_loop)
+        for node, _ in self.calls:
+            self._scan_call(node)
+        for node in self.returns:
+            self._scan_return(node)
         return tuple(sorted(
             set(self.facts),
             key=lambda f: (f.line, f.kind.value, f.description)))
+
+    def sites(self) -> list[DispatchSite]:
+        """Calls in the body that hand a worker to a registered pool."""
+        sites: list[DispatchSite] = []
+        nested = frozenset(self.nested)
+        for node, in_body in self.calls:
+            dotted = _dotted_name(node.func)
+            if not in_body or dotted is None:
+                continue
+            dispatch = dispatch_for(dotted)
+            if dispatch is None:
+                continue
+            worker = _worker_argument(node, dispatch)
+            if worker is None:
+                continue
+            sites.append(DispatchSite(
+                module=self.module, dispatcher=dispatch.name,
+                line=node.lineno, caller=self.caller,
+                worker=worker, class_name=self.class_name,
+                nested_names=nested, bindings=self.bindings))
+        return sites
 
     # -- stores --------------------------------------------------------
 
@@ -266,7 +325,7 @@ class _FunctionFacts:
 
     # -- calls ---------------------------------------------------------
 
-    def _scan_call(self, node: ast.Call, in_loop: bool) -> None:
+    def _scan_call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
         resolved = (self.scan.imports.resolve(dotted)
                     if dotted is not None else None)
@@ -395,52 +454,6 @@ def _tier_of(funcdef) -> tuple[str | None, int | None, str | None]:
     return None, None, None
 
 
-class _SiteCollector:
-    """Dispatch-site extraction inside one function (or module) body."""
-
-    def __init__(self, module: str, caller: str,
-                 class_name: str | None, body) -> None:
-        self.module = module
-        self.caller = caller
-        self.class_name = class_name
-        self.body = body
-        self.nested = frozenset(
-            sub.name for stmt in body for sub in ast.walk(stmt)
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
-        # Last simple ``name = expr`` binding per local name: worker
-        # callables are routinely built a line above the dispatch call.
-        self.bindings: dict[str, ast.expr] = {}
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if (isinstance(sub, ast.Assign)
-                        and len(sub.targets) == 1
-                        and isinstance(sub.targets[0], ast.Name)):
-                    self.bindings[sub.targets[0].id] = sub.value
-
-    def collect(self) -> list[DispatchSite]:
-        sites: list[DispatchSite] = []
-        for stmt in self.body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = _dotted_name(node.func)
-                if dotted is None:
-                    continue
-                dispatch = dispatch_for(dotted)
-                if dispatch is None:
-                    continue
-                worker = _worker_argument(node, dispatch)
-                if worker is None:
-                    continue
-                sites.append(DispatchSite(
-                    module=self.module, dispatcher=dispatch.name,
-                    line=node.lineno, caller=self.caller,
-                    worker=worker, class_name=self.class_name,
-                    nested_names=self.nested,
-                    bindings=self.bindings))
-        return sites
-
-
 def _worker_argument(call: ast.Call,
                      dispatch: WorkerDispatch) -> ast.expr | None:
     """The expression travelling in the dispatcher's worker slot."""
@@ -460,7 +473,9 @@ def scan_par_module(module: str, scan: _ModuleScan) -> ModuleParScan:
 
     def scan_function(qualname: str, funcdef,
                       class_name: str | None) -> None:
-        facts = _FunctionFacts(scan, funcdef, class_name).run()
+        function = _FunctionFacts(scan, module, qualname, class_name,
+                                  funcdef.body, funcdef)
+        facts = function.hazards()
         if facts:
             result.facts[qualname] = facts
         tier, line, problem = _tier_of(funcdef)
@@ -469,8 +484,7 @@ def scan_par_module(module: str, scan: _ModuleScan) -> ModuleParScan:
         elif tier is not None:
             result.tiers[qualname] = TierDecl(
                 qualname=qualname, tier=tier, line=funcdef.lineno)
-        sites.extend(_SiteCollector(module, qualname, class_name,
-                                    funcdef.body).collect())
+        sites.extend(function.sites())
 
     for name, funcdef in sorted(scan.function_defs.items()):
         scan_function(f"{module}:{name}", funcdef, None)
@@ -484,8 +498,8 @@ def scan_par_module(module: str, scan: _ModuleScan) -> ModuleParScan:
                    if not isinstance(stmt, (ast.FunctionDef,
                                             ast.AsyncFunctionDef,
                                             ast.ClassDef))]
-    sites.extend(_SiteCollector(module, f"{module}:<module>", None,
-                                module_body).collect())
+    sites.extend(_FunctionFacts(scan, module, f"{module}:<module>",
+                                None, module_body).sites())
     result.tier_errors = tuple(sorted(tier_errors))
     result.sites = tuple(sorted(
         sites, key=lambda s: (s.line, s.dispatcher, s.caller)))
