@@ -99,10 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     process.add_argument("--jobs", type=int, default=1,
                          help="worker processes for reconstruction "
                               "(default 1 = serial; -1 = all CPUs)")
-    process.add_argument("--columnar", action="store_true",
-                         help="reconstruct through the columnar "
-                              "engine (bit-identical output; "
-                              "takes precedence over --jobs)")
     _add_trace_arguments(process)
 
     campaign = sub.add_parser(
@@ -132,9 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the run sweep "
                                "(default 1 = serial; -1 = all CPUs)")
-    campaign.add_argument("--columnar", action="store_true",
-                          help="process each run through the columnar "
-                               "engine (bit-identical output)")
     campaign.add_argument("--output", required=True,
                           help="AOD output file (JSON lines)")
     campaign.add_argument("--manifest",
@@ -315,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "inspect with 'repro health PATH'")
     serve.add_argument("--slo", metavar="PATH",
                        help="SLO spec JSON to evaluate instead of the "
-                            "built-in service defaults")
+                            "built-in service defaults (needs "
+                            "--health-out)")
     serve.add_argument("--telemetry-out", metavar="PATH",
                        help="write the windowed telemetry snapshot "
                             "(canonical JSON, deterministic form) to "
@@ -416,12 +410,8 @@ def _cmd_process(args) -> int:
             for record in reader.records()]
     policy = ExecutionPolicy.from_jobs(args.jobs)
     tracer, obs_metrics = _trace_context(args, "process")
-    if getattr(args, "columnar", False):
-        recos = reconstructor.reconstruct_batch(
-            raws, tracer=tracer, metrics=obs_metrics)
-    else:
-        recos = reconstructor.reconstruct_many(
-            raws, policy, tracer=tracer, metrics=obs_metrics)
+    recos = reconstructor.reconstruct_many(
+        raws, policy, tracer=tracer, metrics=obs_metrics)
     aods = [make_aod(reco) for reco in recos]
     header = write_dataset(
         args.output, f"aod-run{args.run}", DataTier.AOD,
@@ -478,7 +468,6 @@ def _cmd_campaign(args) -> int:
         events_per_section=args.events_per_section,
         max_events_per_run=args.max_events_per_run,
         seed=args.seed,
-        columnar=getattr(args, "columnar", False),
     )
     policy = ExecutionPolicy.from_jobs(args.jobs)
     tracer, obs_metrics = _trace_context(args, "campaign")
@@ -596,8 +585,7 @@ def _cmd_display(args) -> int:
 def _cmd_validate_bundle(args) -> int:
     from repro.core import PreservedAnalysisBundle, revalidate
 
-    with open(args.bundle, "r", encoding="utf-8") as handle:
-        bundle = PreservedAnalysisBundle.from_dict(json.load(handle))
+    bundle = PreservedAnalysisBundle.load(args.bundle)
     outcome = revalidate(bundle)
     print(outcome.summary())
     return 0 if outcome.passed else 1
@@ -800,9 +788,22 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.obs import SLOSpec, evaluate_slo
     from repro.runtime import ExecutionPolicy
-    from repro.service import demo_api, demo_script, load_script, run_script
+    from repro.service import (
+        default_service_slo,
+        demo_api,
+        demo_script,
+        load_script,
+        run_script,
+    )
 
+    if args.slo and not args.health_out:
+        raise ReproError("--slo needs --health-out: without it the "
+                         "spec would never be evaluated")
+    # Read the spec before any back-end work, so a damaged one fails
+    # fast instead of after the whole run.
+    spec = SLOSpec.load(args.slo) if args.slo else default_service_slo()
     if args.write_script:
         script = demo_script()
         with open(args.write_script, "w", encoding="utf-8") as handle:
@@ -836,11 +837,6 @@ def _cmd_serve(args) -> int:
             service.telemetry.to_json_bytes(deterministic=True))
         print(f"wrote telemetry snapshot to {args.telemetry_out}")
     if args.health_out:
-        from repro.obs import SLOSpec, evaluate_slo
-        from repro.service import default_service_slo
-
-        spec = (SLOSpec.load(args.slo) if args.slo
-                else default_service_slo())
         health = evaluate_slo(
             spec, service.telemetry.snapshot(deterministic=True))
         health.save(args.health_out)

@@ -3,9 +3,10 @@
 ``repro.columnar`` is the throughput layer of the library: numpy-backed
 four-vector arrays (:class:`FourVectorArray`), jagged per-event object
 containers (:class:`EventBatch`), vectorised skim/slim evaluation
-(:func:`apply_skim` / :func:`apply_slim`), matrix-based candidate-object
-building (:class:`ColumnarObjectBuilder`), and phase-streamed batch
+(:func:`apply_skim` / :func:`apply_slim`), and phase-streamed batch
 simulation/digitisation kernels (:mod:`repro.columnar.kernels`).
+Reconstruction has no columnar route: it runs through
+:class:`~repro.reconstruction.Reconstructor` alone.
 
 The engine's contract is *equivalence*, not approximation: every kernel
 declares whether it is bit-identical to the scalar path, identical up
@@ -29,7 +30,6 @@ from repro.columnar.kernels import (
     digitize_batch,
     simulate_batch,
 )
-from repro.columnar.objects import ColumnarObjectBuilder, delta_r_matrix
 from repro.columnar.select import (
     apply_skim,
     apply_slim,
@@ -45,7 +45,6 @@ from repro.columnar.tiers import (
 )
 
 __all__ = [
-    "ColumnarObjectBuilder",
     "EQUIVALENCE_TIERS",
     "EventBatch",
     "FourVectorArray",
@@ -58,7 +57,6 @@ __all__ = [
     "declared_tiers",
     "delta_phi_array",
     "delta_r_array",
-    "delta_r_matrix",
     "derived_columns",
     "digitize_batch",
     "equivalence_tier",

@@ -19,11 +19,18 @@ every artifact:
 The determinism linter (:mod:`repro.lint.det`, rule DAS401) enforces
 the funnel statically: a ``json.dumps`` without ``sort_keys=True`` on
 any path reachable from a registered replay root is a finding.
+
+The way back in is funnelled too: :func:`load_json_document` is the
+one reader for JSON documents a user hands the system, so every
+damaged file surfaces as a typed error that names it.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+from repro.errors import ReproError
 
 #: The compact separator pair every digestable encoding uses.
 CANONICAL_SEPARATORS = (",", ":")
@@ -43,3 +50,28 @@ def canonical_text(payload, *, indent: int | None = 1) -> str:
 def canonical_document(payload, *, indent: int = 1) -> bytes:
     """Artifact-file bytes: :func:`canonical_text` plus one LF."""
     return (canonical_text(payload, indent=indent) + "\n").encode("utf-8")
+
+
+def load_json_document(path, parse, error_type, what: str):
+    """Decode the UTF-8 JSON document at ``path`` and ``parse`` it.
+
+    An unreadable file, bytes that are not UTF-8 JSON, a record
+    ``parse`` rejects, and a record of the wrong shape (``parse``
+    raising a bare ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``AttributeError``) all raise ``error_type`` naming ``what`` and
+    ``path``.
+    """
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error_type(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:
+        raise error_type(
+            f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return parse(record)
+    except ReproError as exc:
+        raise error_type(f"{what} {path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error_type(f"malformed {what} {path}: "
+                         f"{type(exc).__name__}: {exc}") from None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from repro.core.canonical import load_json_document
 from repro.datamodel.event import AODEvent, NtupleRow
 from repro.datamodel.skimslim import SkimSpec, SlimSpec
 from repro.errors import PreservationError
@@ -49,6 +50,11 @@ class PreservedAnalysisBundle:
     @classmethod
     def from_dict(cls, record: dict) -> "PreservedAnalysisBundle":
         """Inverse of :meth:`to_dict`."""
+        if not isinstance(record, dict):
+            raise PreservationError(
+                f"a preserved-analysis bundle must be a JSON object, "
+                f"got {type(record).__name__}"
+            )
         if record.get("format") != "repro-preserved-analysis":
             raise PreservationError(
                 f"not a preserved-analysis bundle: "
@@ -61,6 +67,12 @@ class PreservedAnalysisBundle:
             slim=SlimSpec.from_dict(record["slim"]),
             expected_rows=copy.deepcopy(record["expected_rows"]),
         )
+
+    @classmethod
+    def load(cls, path) -> "PreservedAnalysisBundle":
+        """Read and validate a bundle document from ``path``."""
+        return load_json_document(path, cls.from_dict, PreservationError,
+                                  "bundle")
 
     @classmethod
     def create(cls, bundle_id: str, events: list[AODEvent],

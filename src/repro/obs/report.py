@@ -21,11 +21,10 @@ ids fail to reproduce has been tampered with or mis-assembled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import canonical_document
+from repro.core.canonical import canonical_document, load_json_document
 from repro.errors import ObservabilityError
 from repro.obs.env import ENVIRONMENT_FIELDS, capture_environment
 from repro.obs.metrics import MetricsRegistry
@@ -158,17 +157,8 @@ class RunReport:
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":
         """Read and validate a report document from ``path``."""
-        try:
-            record = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ObservabilityError(
-                f"cannot read run report {path}: {exc}"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ObservabilityError(
-                f"run report {path} is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(record)
+        return load_json_document(path, cls.from_dict,
+                                  ObservabilityError, "run report")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -31,11 +31,10 @@ threshold was — a verdict that cannot say *why* cannot be audited.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import canonical_document
+from repro.core.canonical import canonical_document, load_json_document
 from repro.errors import ObservabilityError
 from repro.obs.telemetry import QUANTILE_GRID, quantile_label
 
@@ -243,13 +242,8 @@ class SLOSpec:
     @classmethod
     def load(cls, path) -> "SLOSpec":
         """Read and validate a spec document from ``path``."""
-        try:
-            record = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ObservabilityError(
-                f"cannot read SLO spec {path}: {exc}"
-            ) from None
-        return cls.from_dict(record)
+        return load_json_document(path, cls.from_dict,
+                                  ObservabilityError, "SLO spec")
 
 
 # ----------------------------------------------------------------------
@@ -416,13 +410,8 @@ class HealthReport:
     @classmethod
     def load(cls, path) -> "HealthReport":
         """Read and validate a report document from ``path``."""
-        try:
-            record = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ObservabilityError(
-                f"cannot read health report {path}: {exc}"
-            ) from None
-        return cls.from_dict(record)
+        return load_json_document(path, cls.from_dict,
+                                  ObservabilityError, "health report")
 
     @property
     def ok(self) -> bool:

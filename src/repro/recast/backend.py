@@ -124,7 +124,6 @@ class FullChainBackend(RecastBackend):
         run_number: int = 50,
         seed: int = 2718,
         n_limit_toys: int = 3000,
-        columnar: bool = False,
     ) -> None:
         if n_events <= 0:
             raise BackendError("n_events must be positive")
@@ -135,7 +134,6 @@ class FullChainBackend(RecastBackend):
         self.run_number = run_number
         self.seed = seed
         self.n_limit_toys = n_limit_toys
-        self.columnar = columnar
 
     def _geometry(self, search: PreservedSearch) -> DetectorGeometry:
         try:
@@ -182,31 +180,14 @@ class FullChainBackend(RecastBackend):
         reconstructor = Reconstructor(
             geometry, GlobalTagView(self.conditions, search.global_tag)
         )
-        if getattr(self, "columnar", False):
-            # Columnar engine: same per-component streams in the same
-            # per-event order, bit-identical reconstruction, and the
-            # selection evaluated as one vectorised event mask — so
-            # n_selected (and every limit derived from it) matches the
-            # per-event loop exactly.
-            from repro.columnar import EventBatch, cut_mask
-
-            events = list(generator.stream(self.n_events))
-            raws = digitizer.digitize_many(
-                simulation.simulate_many(events))
-            recos = reconstructor.reconstruct_batch(raws)
-            batch = EventBatch.from_events(
-                [make_aod(reco) for reco in recos])
-            n_selected = int(
-                cut_mask(search.selection.cut, batch).sum())
-        else:
-            n_selected = 0
-            for event in generator.stream(self.n_events):
-                sim_event = simulation.simulate(event)
-                raw = digitizer.digitize(sim_event)
-                reco = reconstructor.reconstruct(raw)
-                aod = make_aod(reco)
-                if search.selection.cut.passes(aod):
-                    n_selected += 1
+        n_selected = 0
+        for event in generator.stream(self.n_events):
+            sim_event = simulation.simulate(event)
+            raw = digitizer.digitize(sim_event)
+            reco = reconstructor.reconstruct(raw)
+            aod = make_aod(reco)
+            if search.selection.cut.passes(aod):
+                n_selected += 1
 
         efficiency = n_selected / self.n_events
         interval = binomial_interval(n_selected, self.n_events)

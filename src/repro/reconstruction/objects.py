@@ -210,8 +210,9 @@ class ObjectBuilder:
 
     @staticmethod
     def _delta_r(eta1: float, phi1: float, eta2: float, phi2: float) -> float:
-        # sqrt-of-squares, not hypot: keeps this bit-identical to the
-        # vectorised delta_r matrices in repro.columnar.objects.
+        # sqrt-of-squares, not hypot: hypot rounds differently, and
+        # isolation sums and matching decisions derived from this value
+        # are archived, so changing it would change archived bytes.
         d_eta = eta1 - eta2
         d_phi = delta_phi(phi1, phi2)
         return math.sqrt(d_eta * d_eta + d_phi * d_phi)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 from typing import Protocol
 
-import numpy as np
-
 from repro.conditions.calibration import (
     FOLDER_ECAL_SCALE,
     FOLDER_HCAL_SCALE,
@@ -89,7 +87,6 @@ class Reconstructor:
         self._object_builder = ObjectBuilder(object_config)
         self._jet_finder = ConeJetFinder(jet_config)
         self._conditions_reads: list[tuple[str, int]] = []
-        self._columnar_builder = None
 
     def _scale(self, folder: str, run: int) -> float:
         self._conditions_reads.append((folder, run))
@@ -146,74 +143,6 @@ class Reconstructor:
             met=met,
         )
 
-    def _reconstruct_columnar(self, raw: RawEvent) -> RecoEvent:
-        """One event through the columnar object builder.
-
-        Identical structure — and bit-identical output — to
-        :meth:`reconstruct`: same conditions reads in the same order,
-        same track finding and clustering, but candidate-object building
-        uses delta-R matrices and the e/gamma jet-input veto is one
-        vectorised window test.
-        """
-        run = raw.run_number
-        ecal_scale = self._scale(FOLDER_ECAL_SCALE, run)
-        hcal_scale = self._scale(FOLDER_HCAL_SCALE, run)
-
-        tracks = self._track_finder.find(raw.tracker_hits)
-        ecal_clusters = self._clusterer.cluster(raw.calo_hits, "ecal",
-                                                ecal_scale)
-        hcal_name = self.geometry.hcal.name
-        hcal_clusters = self._clusterer.cluster(raw.calo_hits, hcal_name,
-                                                hcal_scale)
-
-        builder = self._columnar_object_builder()
-        muons = builder.build_muons(tracks, raw.muon_hits)
-        electrons = builder.build_electrons(tracks, ecal_clusters, muons)
-        photons = builder.build_photons(tracks, ecal_clusters, electrons)
-
-        # Jets from HCAL clusters plus ECAL clusters not used by
-        # e/gamma. Plain eta/phi differences (no phi wrapping), exactly
-        # like the scalar loop in :meth:`reconstruct`.
-        jet_inputs = list(hcal_clusters)
-        if ecal_clusters:
-            cluster_eta = np.fromiter((c.eta for c in ecal_clusters),
-                                      dtype=np.float64,
-                                      count=len(ecal_clusters))
-            cluster_phi = np.fromiter((c.phi for c in ecal_clusters),
-                                      dtype=np.float64,
-                                      count=len(ecal_clusters))
-            directions = ([(e.p4.eta, e.p4.phi) for e in electrons]
-                          + [(p.p4.eta, p.p4.phi) for p in photons])
-            is_eg = np.zeros(len(ecal_clusters), dtype=bool)
-            for eta, phi in directions:
-                is_eg |= ((np.abs(cluster_eta - eta) < 0.1)
-                          & (np.abs(cluster_phi - phi) < 0.1))
-            jet_inputs.extend(cluster for cluster, used
-                              in zip(ecal_clusters, is_eg) if not used)
-        jets = self._jet_finder.find(jet_inputs)
-        met = builder.build_met(ecal_clusters, hcal_clusters, muons)
-        return RecoEvent(
-            run_number=raw.run_number,
-            event_number=raw.event_number,
-            tracks=tracks,
-            ecal_clusters=ecal_clusters,
-            hcal_clusters=hcal_clusters,
-            electrons=electrons,
-            muons=muons,
-            photons=photons,
-            jets=jets,
-            met=met,
-        )
-
-    def _columnar_object_builder(self):
-        """The lazily built columnar twin of the object builder."""
-        if self._columnar_builder is None:
-            from repro.columnar.objects import ColumnarObjectBuilder
-
-            self._columnar_builder = ColumnarObjectBuilder(
-                self._object_builder.config)
-        return self._columnar_builder
-
     def reconstruct_batch(
         self,
         raw_events: list[RawEvent],
@@ -221,24 +150,14 @@ class Reconstructor:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> list[RecoEvent]:
-        """Reconstruct a list of RAW events via the columnar engine.
+        """Reconstruct a list of RAW events serially.
 
-        Output is bit-identical to :meth:`reconstruct_many` with a
-        serial policy — the columnar path changes how the per-event
-        combinatorics are *evaluated*, not what they compute — and the
-        conditions-read log advances in the same order. An enabled
-        ``tracer`` wraps the pass in a ``reco.reconstruct_batch`` span;
-        ``metrics`` counts the same ``reco.*`` series as the scalar
-        path.
+        One call to :meth:`reconstruct_many` under its default serial
+        policy, passing ``tracer`` and ``metrics`` through. The name
+        stays public because ``perfbench/layers.py`` traces it.
         """
-        obs = active(tracer)
-        reads_before = len(self._conditions_reads)
-        with obs.span("reco.reconstruct_batch",
-                      n_events=len(raw_events), mode="columnar"):
-            recos = [self._reconstruct_columnar(raw)
-                     for raw in raw_events]
-        self._record_reco_metrics(metrics, len(recos), reads_before)
-        return recos
+        return self.reconstruct_many(raw_events, tracer=tracer,
+                                     metrics=metrics)
 
     def reconstruct_many(
         self,

@@ -28,9 +28,9 @@ runs until idle, so a script never leaves executions stranded.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.errors import ServiceError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryHub
@@ -50,11 +50,8 @@ SCRIPT_VERSION = 1
 
 def load_script(path: str | Path) -> dict:
     """Read and validate one submission script."""
-    try:
-        script = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ServiceError(f"cannot read script {path}: {exc}") from exc
-    return validate_script(script)
+    return load_json_document(path, validate_script, ServiceError,
+                              "script")
 
 
 def validate_script(script: dict) -> dict:

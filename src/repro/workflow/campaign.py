@@ -79,7 +79,6 @@ class ProcessingCampaign:
         max_events_per_run: int = 50,
         seed: int = 6000,
         policy: ExecutionPolicy | None = None,
-        columnar: bool = False,
     ) -> None:
         if events_per_section <= 0.0:
             raise WorkflowError("events_per_section must be positive")
@@ -92,7 +91,6 @@ class ProcessingCampaign:
         self.max_events_per_run = max_events_per_run
         self.seed = seed
         self.policy = policy
-        self.columnar = columnar
         self._results: dict[int, RunResult] = {}
 
     def process(self, registry: RunRegistry, good_runs: GoodRunList,
@@ -189,25 +187,9 @@ class ProcessingCampaign:
         view = CachedConditionsView(self.conditions, self.global_tag)
         reconstructor = Reconstructor(self.geometry, view)
         result = RunResult(run_number=run_number)
-        if getattr(self, "columnar", False):
-            # Columnar engine. Generation/simulation/digitisation use
-            # the same per-component streams in the same per-event
-            # order as the scalar loop (each stage owns a private
-            # generator, so de-interleaving the stages consumes each
-            # stream identically), and reconstruct_batch is
-            # bit-identical to reconstruct by contract — the run's
-            # AODs match the per-event path bit for bit.
-            events = list(generator.stream(n_events))
-            raws = digitizer.digitize_many(
-                simulation.simulate_many(events))
-            recos = reconstructor.reconstruct_batch(raws)
-            result.aods = [make_aod(reco) for reco in recos]
-            span.set("engine", "columnar")
-        else:
-            for event in generator.stream(n_events):
-                raw = digitizer.digitize(simulation.simulate(event))
-                result.aods.append(
-                    make_aod(reconstructor.reconstruct(raw)))
+        for event in generator.stream(n_events):
+            raw = digitizer.digitize(simulation.simulate(event))
+            result.aods.append(make_aod(reconstructor.reconstruct(raw)))
         # Record exactly which payloads this run's reconstruction used —
         # read back through the *same* view the reconstructor used, so
         # the dependency record cannot drift from the payloads applied.

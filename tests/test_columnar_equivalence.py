@@ -1,14 +1,15 @@
 """Columnar-vs-per-event equivalence suite.
 
-This is the suite the columnar engine's determinism claims hang on:
+The columnar library kernels must reproduce the scalar semantics:
 
-* batch reconstruction is **bit-identical** to the per-event loop,
-* the campaign/backends' columnar paths produce **bit-identical**
-  artifacts (AODs, conditions manifests, selected counts, limits),
 * vectorised skim/slim reproduce the scalar cut and column semantics
   exactly,
 * ``smear_array`` consumes the same RNG draws as a scalar smear loop
   and returns bit-identical energies.
+
+Reconstruction, campaigns and RECAST back ends have one (per-event)
+path; their cross-policy identity is covered by
+``tests/test_runtime_determinism.py``.
 """
 
 from __future__ import annotations
@@ -17,143 +18,20 @@ import numpy as np
 import pytest
 
 from repro.columnar import EventBatch, apply_skim, apply_slim, cut_mask
-from repro.conditions import default_conditions
 from repro.datamodel import (
     AndCut,
     CountCut,
-    GoodRunList,
     HtCut,
     MassWindowCut,
     MetCut,
     NotCut,
     OrCut,
-    RunRecord,
-    RunRegistry,
     SkimSpec,
     SlimSpec,
     TriggerCut,
-    make_aod,
 )
 from repro.datamodel.skimslim import _DERIVED_COLUMNS
-from repro.detector import DetectorSimulation, Digitizer
 from repro.detector.response import CaloResponse
-from repro.generation import (
-    DrellYanZ,
-    GeneratorConfig,
-    HiggsToFourLeptons,
-    QCDDijets,
-    ToyGenerator,
-    WProduction,
-)
-from repro.recast import FullChainBackend, PreservedSearch
-from repro.recast.scan import run_mass_scan
-from repro.reconstruction import GlobalTagView, Reconstructor
-from repro.workflow import ProcessingCampaign
-
-
-@pytest.fixture(scope="module")
-def raw_sample(gpd_geometry):
-    """80 mixed-process RAW events (gen -> sim -> digi)."""
-    generator = ToyGenerator(GeneratorConfig(
-        processes=[DrellYanZ(), WProduction(cross_section_pb=2200.0),
-                   QCDDijets(cross_section_pb=3000.0),
-                   HiggsToFourLeptons()],
-        seed=8100))
-    simulation = DetectorSimulation(gpd_geometry, seed=8101)
-    digitizer = Digitizer(gpd_geometry, run_number=61, seed=8102)
-    return digitizer.digitize_many(
-        simulation.simulate_many(generator.generate(80)))
-
-
-class TestBatchReconstruction:
-    def test_bit_identical_to_per_event(self, gpd_geometry,
-                                        conditions_store, raw_sample):
-        per_event = Reconstructor(
-            gpd_geometry, GlobalTagView(conditions_store, "GT-FINAL"))
-        batch = Reconstructor(
-            gpd_geometry, GlobalTagView(conditions_store, "GT-FINAL"))
-        scalar_recos = per_event.reconstruct_many(raw_sample)
-        batch_recos = batch.reconstruct_batch(raw_sample)
-        assert ([r.to_dict() for r in batch_recos]
-                == [r.to_dict() for r in scalar_recos])
-
-    def test_conditions_reads_identical(self, gpd_geometry,
-                                        conditions_store, raw_sample):
-        per_event = Reconstructor(
-            gpd_geometry, GlobalTagView(conditions_store, "GT-FINAL"))
-        batch = Reconstructor(
-            gpd_geometry, GlobalTagView(conditions_store, "GT-FINAL"))
-        per_event.reconstruct_many(raw_sample)
-        batch.reconstruct_batch(raw_sample)
-        assert per_event.conditions_reads == batch.conditions_reads
-
-
-def _campaign(gpd_geometry, conditions_store, columnar):
-    return ProcessingCampaign(
-        name="Reco-v1",
-        geometry=gpd_geometry,
-        conditions=conditions_store,
-        global_tag="GT-FINAL",
-        generator=ToyGenerator(GeneratorConfig(
-            processes=[DrellYanZ()], seed=6100)),
-        events_per_section=0.3,
-        max_events_per_run=20,
-        columnar=columnar,
-    )
-
-
-class TestCampaignColumnar:
-    def test_campaign_bit_identical(self, gpd_geometry,
-                                    conditions_store):
-        registry = RunRegistry("RunA")
-        registry.add(RunRecord(5, 60, 0.5))
-        registry.add(RunRecord(25, 80, 0.5))
-        good_runs = GoodRunList("GRL")
-        good_runs.certify(5, 1, 60)
-        good_runs.certify(25, 1, 80)
-
-        scalar = _campaign(gpd_geometry, conditions_store, False)
-        scalar.process(registry, good_runs)
-        columnar = _campaign(gpd_geometry, conditions_store, True)
-        columnar.process(registry, good_runs)
-
-        assert ([a.to_dict() for a in scalar.all_aods()]
-                == [a.to_dict() for a in columnar.all_aods()])
-        assert (scalar.conditions_manifest()
-                == columnar.conditions_manifest())
-
-
-def _search():
-    selection = SkimSpec("highmass", AndCut((
-        CountCut("muons", 2, min_pt=30.0),
-        MassWindowCut("muons", 500.0, 1e9, opposite_charge=True),
-    )))
-    return PreservedSearch(
-        analysis_id="GPD-EXO-01",
-        title="High-mass dimuon search",
-        experiment="GPD",
-        selection=selection,
-        n_observed=3,
-        background=2.5,
-        background_uncertainty=0.6,
-        luminosity_ipb=20000.0,
-    )
-
-
-class TestRecastColumnar:
-    def test_scan_limits_identical(self):
-        search = _search()
-        backend = FullChainBackend("GPD", n_events=80,
-                                   n_limit_toys=400, seed=900)
-        masses = [800.0, 1500.0]
-        scalar = run_mass_scan(backend, search, masses)
-        columnar = run_mass_scan(backend, search, masses,
-                                 columnar=True)
-        assert scalar.limits() == columnar.limits()
-        assert ([p.result.n_selected for p in scalar.points]
-                == [p.result.n_selected for p in columnar.points])
-        # The flag was applied to a copy, not the caller's backend.
-        assert backend.columnar is False
 
 
 ALL_CUTS = [

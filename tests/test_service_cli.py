@@ -86,6 +86,27 @@ class TestServeScripts:
         assert "rejected" in out
 
 
+class TestServeSlo:
+    def test_slo_without_health_out_is_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "slo.json"
+        spec.write_text("{", encoding="utf-8")
+        assert main(["serve", *SPEED, "--slo", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert "--health-out" in captured.err
+        assert "served" not in captured.out
+
+    def test_damaged_spec_fails_before_the_run(self, tmp_path, capsys):
+        spec = tmp_path / "slo.json"
+        spec.write_text('{"format": "repro-slo', encoding="utf-8")
+        health = tmp_path / "health.json"
+        assert main(["serve", *SPEED, "--slo", str(spec),
+                     "--health-out", str(health)]) == 2
+        captured = capsys.readouterr()
+        assert "slo.json" in captured.err
+        assert "served" not in captured.out
+        assert not health.exists()
+
+
 class TestServeTracing:
     def test_deterministic_run_report(self, tmp_path):
         reports = []
