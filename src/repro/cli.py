@@ -84,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--events", type=int, default=100)
     generate.add_argument("--seed", type=int, default=2013)
     generate.add_argument("--output", required=True)
+    _add_trace_arguments(generate)
 
     process = sub.add_parser(
         "process",
@@ -356,15 +357,28 @@ def _process_registry(name: str):
 def _cmd_generate(args) -> int:
     from repro.datamodel import DataTier, write_dataset
     from repro.generation import GeneratorConfig, ToyGenerator
+    from repro.obs import active
 
     generator = ToyGenerator(GeneratorConfig(
         processes=[_process_registry(args.process)], seed=args.seed,
     ))
-    header = write_dataset(
-        args.output, f"gen-{args.process}", DataTier.GEN,
-        (event.to_dict() for event in generator.stream(args.events)),
-        provenance=generator.run_info.to_dict(),
-    )
+    tracer, obs_metrics = _trace_context(args, "generate")
+    obs = active(tracer)
+    with obs.span("generate.events", n_events=args.events):
+        records = [event.to_dict()
+                   for event in generator.stream(args.events)]
+    with obs.span("generate.write"):
+        header = write_dataset(
+            args.output, f"gen-{args.process}", DataTier.GEN, records,
+            provenance=generator.run_info.to_dict(),
+        )
+    _write_trace(args, tracer, obs_metrics, provenance={
+        "command": "generate",
+        "process": args.process,
+        "seed": args.seed,
+        "output": str(args.output),
+        "dataset": header.dataset_name,
+    })
     print(f"wrote {header.n_events} GEN events to {args.output}")
     return 0
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.conditions.iov import IOV
 from repro.conditions.store import ConditionsStore
+from repro.core.canonical import load_json_document
 from repro.errors import ConditionsError, IOVError, PersistenceError
 
 _SNAPSHOT_FORMAT = "repro-conditions-snapshot"
@@ -144,12 +145,5 @@ def export_snapshot(
 
 def load_snapshot(path: str | Path) -> ConditionsSnapshot:
     """Read a snapshot previously written by :func:`export_snapshot`."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise PersistenceError(f"cannot read snapshot {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"snapshot {path} is not valid JSON: {exc}")
-    return ConditionsSnapshot.from_dict(record)
+    return load_json_document(path, ConditionsSnapshot.from_dict,
+                              PersistenceError, "snapshot")

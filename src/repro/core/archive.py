@@ -14,7 +14,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.canonical import canonical_document, canonical_json
+from repro.core.canonical import (
+    canonical_document,
+    canonical_json,
+    load_json_document,
+)
 from repro.core.metadata import PreservationMetadata
 from repro.errors import ArchiveError, FixityError, PersistenceError
 
@@ -192,36 +196,32 @@ class PreservationArchive:
 
     @classmethod
     def load(cls, directory: str | Path) -> "PreservationArchive":
-        """Read an archive directory written by :meth:`save`."""
+        """Read an archive directory written by :meth:`save`.
+
+        A damaged catalogue or an unreadable blob raises
+        :class:`PersistenceError` naming the catalogue file.
+        """
         directory = Path(directory)
-        catalogue_path = directory / "catalogue.json"
-        try:
-            with catalogue_path.open("r", encoding="utf-8") as handle:
-                catalogue = json.load(handle)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot read archive catalogue {catalogue_path}: {exc}"
-            )
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"archive catalogue {catalogue_path} is not valid JSON: "
-                f"{exc}"
-            )
-        if catalogue.get("format") != "repro-preservation-archive":
-            raise PersistenceError(
-                f"{directory} is not a preservation archive"
-            )
-        archive = cls(name=str(catalogue.get("name", "archive")))
-        blobs_dir = directory / "blobs"
-        for entry_record in catalogue.get("entries", []):
-            entry = ArchiveEntry.from_dict(entry_record)
-            blob_path = blobs_dir / entry.digest
-            try:
-                content = blob_path.read_bytes()
-            except OSError as exc:
+
+        def parse(catalogue: dict) -> "PreservationArchive":
+            if catalogue.get("format") != "repro-preservation-archive":
                 raise PersistenceError(
-                    f"archive blob {blob_path} unreadable: {exc}"
+                    f"{directory} is not a preservation archive"
                 )
-            archive._blobs[entry.digest] = content
-            archive._entries[entry.digest] = entry
-        return archive
+            archive = cls(name=str(catalogue.get("name", "archive")))
+            blobs_dir = directory / "blobs"
+            for entry_record in catalogue.get("entries", []):
+                entry = ArchiveEntry.from_dict(entry_record)
+                blob_path = blobs_dir / entry.digest
+                try:
+                    content = blob_path.read_bytes()
+                except OSError as exc:
+                    raise PersistenceError(
+                        f"archive blob {blob_path} unreadable: {exc}"
+                    )
+                archive._blobs[entry.digest] = content
+                archive._entries[entry.digest] = entry
+            return archive
+
+        return load_json_document(directory / "catalogue.json", parse,
+                                  PersistenceError, "archive catalogue")

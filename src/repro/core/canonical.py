@@ -57,9 +57,9 @@ def load_json_document(path, parse, error_type, what: str):
 
     An unreadable file, bytes that are not UTF-8 JSON, a record
     ``parse`` rejects, and a record of the wrong shape (``parse``
-    raising a bare ``KeyError``, ``TypeError``, ``ValueError`` or
-    ``AttributeError``) all raise ``error_type`` naming ``what`` and
-    ``path``.
+    raising a bare ``KeyError``, ``TypeError``, ``ValueError``,
+    ``AttributeError``, or ``OverflowError`` from ``int(Infinity)``)
+    all raise ``error_type`` naming ``what`` and ``path``.
     """
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -72,6 +72,7 @@ def load_json_document(path, parse, error_type, what: str):
         return parse(record)
     except ReproError as exc:
         raise error_type(f"{what} {path}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise error_type(f"malformed {what} {path}: "
                          f"{type(exc).__name__}: {exc}") from None

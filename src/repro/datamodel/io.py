@@ -137,7 +137,7 @@ class DatasetReader:
 
     def _read_header(self) -> DatasetHeader:
         try:
-            with self.path.open("r", encoding="utf-8") as handle:
+            with self.path.open("rb") as handle:
                 first_line = handle.readline()
         except OSError as exc:
             raise PersistenceError(
@@ -145,27 +145,43 @@ class DatasetReader:
             )
         if not first_line.strip():
             raise PersistenceError(f"dataset {self.path} is empty")
+        record = self._decode(first_line, 1)
         try:
-            header_record = json.loads(first_line)
+            return DatasetHeader.from_dict(record)
+        except PersistenceError as exc:
+            raise PersistenceError(f"{self.path}:1: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
+            raise PersistenceError(
+                f"{self.path}:1: malformed header: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+
+    def _decode(self, line: bytes, line_number: int) -> dict:
+        """One line as a JSON object, or a typed error naming
+        ``path:line``."""
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise PersistenceError(
+                f"{self.path}:{line_number}: not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise PersistenceError(
-                f"dataset {self.path} header is not valid JSON: {exc}"
-            )
-        return DatasetHeader.from_dict(header_record)
+                f"{self.path}:{line_number}: bad record: {exc}") from None
+        if not isinstance(record, dict):
+            raise PersistenceError(
+                f"{self.path}:{line_number}: record is a "
+                f"{type(record).__name__}, not a JSON object")
+        return record
 
     def records(self) -> Iterator[dict]:
         """Stream the event records, one dictionary at a time."""
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             handle.readline()  # skip the header
             for line_number, line in enumerate(handle, start=2):
                 if not line.strip():
                     continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise PersistenceError(
-                        f"{self.path}:{line_number}: bad record: {exc}"
-                    )
+                yield self._decode(line, line_number)
 
     def read_all(self) -> list[dict]:
         """All event records as a list."""

@@ -152,17 +152,18 @@ class EfficiencyCurve:
 
     def passes(self, pt: float, rng: np.random.Generator) -> bool:
         """Sample a pass/fail decision at the given pt."""
-        return bool(rng.uniform() < self.value(pt))
+        return bool(rng.random() < self.value(pt))
 
     def passes_array(self, pts, rng: np.random.Generator) -> np.ndarray:
         """Vectorised :meth:`passes` over an array of pts.
 
-        Consumes the generator stream exactly as the scalar loop does
-        (one uniform per pt, in order). The decision is identical
-        unless a uniform lands within one ulp of the efficiency value
-        — where ``np.exp`` and libm's ``exp`` can differ — which the
-        equivalence suite treats as the documented tolerance of this
-        kernel.
+        Consumes the generator stream exactly as the scalar loop does:
+        ``uniform(size=n)`` is ``n`` ``random()`` doubles in order, the
+        same draws :meth:`passes` makes one pt at a time. The decision
+        is identical unless a draw lands within one ulp of the
+        efficiency value — where ``np.exp`` and libm's ``exp`` can
+        differ — which the equivalence suite treats as the documented
+        tolerance of this kernel.
         """
         pts = np.asarray(pts, dtype=np.float64)
         return rng.uniform(size=len(pts)) < self.value_array(pts)

@@ -93,9 +93,16 @@ class ToyGenerator:
         total = sum(p.cross_section_pb for p in config.processes)
         if total <= 0.0:
             raise ConfigurationError("total cross section must be positive")
-        self._weights = np.array(
+        if any(p.cross_section_pb < 0.0 for p in config.processes):
+            raise ConfigurationError("cross sections must be non-negative")
+        weights = np.array(
             [p.cross_section_pb / total for p in config.processes]
         )
+        # The cumulative distribution ``rng.choice(n, p=weights)`` builds
+        # on every call; searching it with one ``random()`` draw picks
+        # the same process from the same stream position.
+        self._cdf = weights.cumsum()
+        self._cdf /= self._cdf[-1]
         self._events_generated = 0
 
     @property
@@ -112,8 +119,8 @@ class ToyGenerator:
         )
 
     def _next_event(self) -> GenEvent:
-        choice = int(self._rng.choice(len(self.config.processes),
-                                      p=self._weights))
+        choice = int(self._cdf.searchsorted(self._rng.random(),
+                                            side="right"))
         process = self.config.processes[choice]
         event = GenEvent(
             event_number=self._events_generated,

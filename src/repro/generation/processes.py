@@ -24,6 +24,7 @@ from repro.generation.decays import (
     breit_wigner_mass,
     sample_decay_vertex,
     two_body_decay,
+    uniform,
 )
 from repro.generation.hepmc import GenEvent, ParticleStatus
 from repro.kinematics import FourVector, ParticleTable
@@ -122,7 +123,7 @@ def _sample_resonance_momentum(
     """Sample the lab momentum of a centrally produced heavy resonance."""
     pt = rng.exponential(mean_pt)
     y = rng.normal(0.0, rapidity_sigma)
-    phi = rng.uniform(-math.pi, math.pi)
+    phi = uniform(rng, -math.pi, math.pi)
     mt = math.sqrt(mass * mass + pt * pt)
     energy = mt * math.cosh(y)
     pz = mt * math.sinh(y)
@@ -165,13 +166,13 @@ def _fragment_jet(
 
     for fraction in fractions:
         # 60% pi+-, 15% pi0, 15% K+-, 10% K0_L by species.
-        roll = rng.uniform()
+        roll = rng.random()
         if roll < 0.60:
-            pdg = PDG_PION if rng.uniform() < 0.5 else -PDG_PION
+            pdg = PDG_PION if rng.random() < 0.5 else -PDG_PION
         elif roll < 0.75:
             pdg = PDG_PI0
         elif roll < 0.90:
-            pdg = PDG_KAON if rng.uniform() < 0.5 else -PDG_KAON
+            pdg = PDG_KAON if rng.random() < 0.5 else -PDG_KAON
         else:
             pdg = 130
         mass = table.by_id(pdg).mass
@@ -271,7 +272,7 @@ class HiggsToFourLeptons(Process):
         for _ in range(200):
             m_onshell = breit_wigner_mass(z_species.mass, z_species.width,
                                           rng, minimum=40.0)
-            m_offshell = rng.uniform(12.0, 45.0)
+            m_offshell = uniform(rng, 12.0, 45.0)
             if m_onshell + m_offshell < higgs_species.mass:
                 break
         else:
@@ -283,7 +284,7 @@ class HiggsToFourLeptons(Process):
         z2 = event.add_particle(PDG_Z, z2_p, ParticleStatus.DECAYED,
                                 parents=[higgs.index])
         for z in (z1, z2):
-            flavour = PDG_MUON if rng.uniform() < 0.5 else PDG_ELECTRON
+            flavour = PDG_MUON if rng.random() < 0.5 else PDG_ELECTRON
             lepton_mass = table.by_id(flavour).mass
             minus, plus = two_body_decay(z.momentum, lepton_mass, lepton_mass,
                                          rng)
@@ -320,7 +321,7 @@ class QCDDijets(Process):
     def _sample_pt(self, rng: np.random.Generator) -> float:
         """Inverse-CDF sample of a power-law ``pt^-n`` spectrum."""
         n = self.spectral_index
-        u = rng.uniform()
+        u = rng.random()
         a = self.pt_min ** (1.0 - n)
         b = self.pt_max ** (1.0 - n)
         return (a + u * (b - a)) ** (1.0 / (1.0 - n))
@@ -329,7 +330,7 @@ class QCDDijets(Process):
         pt = self._sample_pt(rng)
         eta1 = rng.normal(0.0, 1.5)
         eta2 = rng.normal(0.0, 1.5)
-        phi = rng.uniform(-math.pi, math.pi)
+        phi = uniform(rng, -math.pi, math.pi)
         opposite = phi + math.pi + rng.normal(0.0, 0.12)
         parton1 = FourVector.from_ptetaphim(pt, eta1, phi, 0.0)
         kt_balance = pt * (1.0 + rng.normal(0.0, 0.08))
@@ -355,8 +356,8 @@ class DzeroProduction(Process):
     def fill(self, event, rng, table, tune):
         d0_species = table.by_id(PDG_D0)
         pt = 2.0 + rng.exponential(3.0)
-        eta = rng.uniform(2.0, 4.5)  # forward, LHCb-like
-        phi = rng.uniform(-math.pi, math.pi)
+        eta = uniform(rng, 2.0, 4.5)  # forward, LHCb-like
+        phi = uniform(rng, -math.pi, math.pi)
         d0_momentum = FourVector.from_ptetaphim(pt, eta, phi, d0_species.mass)
         vertex, proper_time = sample_decay_vertex(
             d0_momentum, d0_species.lifetime_ns, rng
@@ -389,8 +390,8 @@ class KshortProduction(Process):
     def fill(self, event, rng, table, tune):
         kshort_species = table.by_id(310)
         pt = 0.5 + rng.exponential(1.5)
-        eta = rng.uniform(-1.5, 1.5)
-        phi = rng.uniform(-math.pi, math.pi)
+        eta = uniform(rng, -1.5, 1.5)
+        phi = uniform(rng, -math.pi, math.pi)
         momentum = FourVector.from_ptetaphim(pt, eta, phi,
                                              kshort_species.mass)
         vertex, _ = sample_decay_vertex(momentum,
@@ -422,7 +423,7 @@ class JpsiToMuMu(Process):
         jpsi_species = table.by_id(PDG_JPSI)
         pt = 3.0 + rng.exponential(4.0)
         y = rng.normal(0.0, 1.8)
-        phi = rng.uniform(-math.pi, math.pi)
+        phi = uniform(rng, -math.pi, math.pi)
         mt = math.sqrt(jpsi_species.mass**2 + pt * pt)
         momentum = FourVector(mt * math.cosh(y), pt * math.cos(phi),
                               pt * math.sin(phi), mt * math.sinh(y))
@@ -447,17 +448,17 @@ class MinimumBias(Process):
     def fill(self, event, rng, table, tune):
         n_hadrons = max(1, int(rng.poisson(tune.ue_mean_multiplicity)))
         for _ in range(n_hadrons):
-            roll = rng.uniform()
+            roll = rng.random()
             if roll < 0.7:
-                pdg = PDG_PION if rng.uniform() < 0.5 else -PDG_PION
+                pdg = PDG_PION if rng.random() < 0.5 else -PDG_PION
             elif roll < 0.85:
                 pdg = PDG_PI0
             else:
-                pdg = PDG_KAON if rng.uniform() < 0.5 else -PDG_KAON
+                pdg = PDG_KAON if rng.random() < 0.5 else -PDG_KAON
             mass = table.by_id(pdg).mass
             pt = rng.exponential(tune.ue_pt_slope_gev)
-            eta = rng.uniform(-4.0, 4.0)
-            phi = rng.uniform(-math.pi, math.pi)
+            eta = uniform(rng, -4.0, 4.0)
+            phi = uniform(rng, -math.pi, math.pi)
             momentum = FourVector.from_ptetaphim(pt, eta, phi, mass)
             event.add_particle(pdg, momentum, ParticleStatus.FINAL)
 

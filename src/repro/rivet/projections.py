@@ -111,26 +111,30 @@ class TruthJets:
 
     def jets(self, event: GenEvent) -> list[FourVector]:
         """Cluster and return the jet four-momenta, pt-sorted."""
+        # (momentum, eta, phi) per input: eta and phi are computed once,
+        # not once per cone seed.
         inputs = []
         for particle in FinalState(eta_max=self.eta_max).particles(event):
             if particle.pdg_id in INVISIBLE_PDG_IDS:
                 continue
             if particle.pdg_id in self._LEPTON_IDS:
                 continue
-            inputs.append(particle.momentum)
-        inputs.sort(key=lambda p: p.pt, reverse=True)
+            momentum = particle.momentum
+            inputs.append((momentum, momentum.eta, momentum.phi))
+        inputs.sort(key=lambda entry: entry[0].pt, reverse=True)
         jets = []
         while inputs:
-            seed = inputs[0]
-            members = [p for p in inputs
-                       if math.hypot(p.eta - seed.eta,
-                                     delta_phi(p.phi, seed.phi))
+            _, seed_eta, seed_phi = inputs[0]
+            members = [p for p, eta, phi in inputs
+                       if math.hypot(eta - seed_eta,
+                                     delta_phi(phi, seed_phi))
                        < self.cone_radius]
             total = FourVector.zero()
             for member in members:
                 total = total + member
             member_ids = {id(m) for m in members}
-            inputs = [p for p in inputs if id(p) not in member_ids]
+            inputs = [entry for entry in inputs
+                      if id(entry[0]) not in member_ids]
             if total.pt >= self.jet_pt_min:
                 jets.append(total)
         return sorted(jets, key=lambda j: j.pt, reverse=True)

@@ -26,6 +26,13 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             GeneratorConfig(processes=[DrellYanZ()], sqrt_s=0.0)
 
+    def test_negative_cross_section_rejected(self):
+        # A negative weight would make the process-choice CDF
+        # non-monotonic; it must fail when the generator is built.
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ToyGenerator(GeneratorConfig(processes=[
+                DrellYanZ(cross_section_pb=-1.0), MinimumBias()]))
+
 
 class TestGeneration:
     def test_event_count_and_numbering(self):

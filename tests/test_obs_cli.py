@@ -106,6 +106,46 @@ class TestProcessTraceOut:
                    for span in report.spans)
 
 
+class TestGenerateTraceOut:
+    def _run(self, monkeypatch, directory) -> bytes:
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        assert main(["generate", "--process", "minbias", "--events", "12",
+                     "--seed", "5", "--output", "gen.jsonl",
+                     "--trace-out", "runreport.json",
+                     "--trace-deterministic"]) == 0
+        return (directory / "runreport.json").read_bytes()
+
+    def test_profile_splits_generation_from_the_write(self, tmp_path,
+                                                      monkeypatch,
+                                                      capsys):
+        self._run(monkeypatch, tmp_path / "run")
+        report = RunReport.load(tmp_path / "run" / "runreport.json")
+        assert [span["name"] for span in report.root_spans()] \
+            == ["generate.events", "generate.write"]
+        assert report.provenance["command"] == "generate"
+        capsys.readouterr()
+        assert main(["profile", "runreport.json"]) == 0
+        paths = [line.split()[-1]
+                 for line in capsys.readouterr().out.splitlines()[2:]]
+        assert sorted(paths) == ["generate.events", "generate.write"]
+
+    def test_deterministic_runs_are_byte_identical(self, tmp_path,
+                                                   monkeypatch):
+        first = self._run(monkeypatch, tmp_path / "run1")
+        second = self._run(monkeypatch, tmp_path / "run2")
+        assert first == second
+
+    def test_tracing_leaves_the_dataset_unchanged(self, tmp_path,
+                                                  monkeypatch):
+        self._run(monkeypatch, tmp_path / "traced")
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--process", "minbias", "--events", "12",
+                     "--seed", "5", "--output", "plain.jsonl"]) == 0
+        assert (tmp_path / "plain.jsonl").read_bytes() \
+            == (tmp_path / "traced" / "gen.jsonl").read_bytes()
+
+
 class TestLintTraceOut:
     def test_lint_writes_report_with_target_spans(self, tmp_path):
         target = tmp_path / "analysis.py"

@@ -1,11 +1,12 @@
 """Damaged input to the JSON document readers is a typed error.
 
 Every reader a user can hand a file to — run reports, health reports,
-SLO specs, service submission scripts and preserved-analysis bundles —
+SLO specs, service submission scripts, preserved-analysis bundles,
+archive catalogues, conditions snapshots and JSON-lines datasets —
 must either load the document or raise a :class:`ReproError` subclass
-that names the file, never a bare ``UnicodeDecodeError``,
-``JSONDecodeError`` or ``AttributeError``; the CLI turns those into
-exit code 2.
+that names the file (and, for datasets, the line), never a bare
+``UnicodeDecodeError``, ``JSONDecodeError`` or ``AttributeError``; the
+CLI turns those into exit code 2.
 """
 
 from __future__ import annotations
@@ -17,9 +18,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import PreservedAnalysisBundle
-from repro.datamodel import CountCut, SkimSpec, SlimSpec
-from repro.errors import PreservationError, ReproError
+from repro.conditions import default_conditions, export_snapshot, load_snapshot
+from repro.core import PreservationArchive, PreservedAnalysisBundle
+from repro.core.metadata import PreservationMetadata
+from repro.datamodel import (
+    CountCut,
+    DataTier,
+    DatasetReader,
+    SkimSpec,
+    SlimSpec,
+    write_dataset,
+)
+from repro.errors import PersistenceError, PreservationError, ReproError
 from repro.obs import (
     HealthReport,
     MetricsRegistry,
@@ -52,6 +62,36 @@ def _bundle() -> dict:
         SlimSpec("n", ("met",))).to_dict()
 
 
+def _archive() -> PreservationArchive:
+    archive = PreservationArchive("robust")
+    archive.store({"a": [1, 2]}, "skim_spec", PreservationMetadata.build(
+        title="t", creator="curator", experiment="GPD",
+        created="2013-03-21", artifact_format="json", size_bytes=0,
+        checksum="", producer="test", access_policy="public"))
+    return archive
+
+
+def _catalogue() -> dict:
+    """The catalogue :meth:`PreservationArchive.save` writes."""
+    archive = _archive()
+    return {"format": "repro-preservation-archive", "name": archive.name,
+            "entries": [archive.entry(digest).to_dict()
+                        for digest in archive.digests()]}
+
+
+def _load_archive(path):
+    """Load an archive whose catalogue holds the bytes at ``path``; the
+    directory is named after ``path`` and holds the stored blob."""
+    directory = path.with_name(path.name + ".archive")
+    _archive().save(directory)
+    (directory / "catalogue.json").write_bytes(path.read_bytes())
+    return PreservationArchive.load(directory)
+
+
+def _snapshot() -> dict:
+    return export_snapshot(default_conditions(), "GT-FINAL", 1, 3).to_dict()
+
+
 #: ``(reader, a valid document for it)`` for every reader under test.
 READERS = {
     "run_report": (RunReport.load, _run_report),
@@ -59,6 +99,8 @@ READERS = {
     "slo_spec": (SLOSpec.load, lambda: default_service_slo().to_dict()),
     "script": (load_script, demo_script),
     "bundle": (PreservedAnalysisBundle.load, _bundle),
+    "archive": (_load_archive, _catalogue),
+    "snapshot": (load_snapshot, _snapshot),
 }
 
 NON_UTF8 = b'{"a": "\xff"}'
@@ -114,6 +156,25 @@ class TestValidateBundleDamage:
     def test_from_dict_rejects_a_non_object(self):
         with pytest.raises(PreservationError, match="JSON object"):
             PreservedAnalysisBundle.from_dict([])
+
+
+@pytest.mark.parametrize("name", ["archive", "snapshot"])
+@pytest.mark.parametrize("data", [b"[1]", NON_UTF8],
+                         ids=["json-list", "non-utf8"])
+def test_damaged_archive_and_snapshot_name_the_file(name, data, tmp_path):
+    path = tmp_path / "damaged.json"
+    path.write_bytes(data)
+    with pytest.raises(PersistenceError, match="damaged.json"):
+        READERS[name][0](path)
+
+
+def test_snapshot_run_bound_of_infinity_is_a_typed_error(tmp_path):
+    record = _snapshot()
+    record["first_run"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(PersistenceError, match="inf.json"):
+        load_snapshot(path)
 
 
 def _field_paths(value, path=()):
@@ -172,4 +233,71 @@ class TestReaderProperties:
         data = json.dumps(document(), indent=1).encode("utf-8")
         index = int(position * len(data))
         _read(reader, tmp_path / "doc.json",
+              data[:index] + bytes([byte]) + data[index:])
+
+
+def _dataset_bytes(tmp_path) -> bytes:
+    path = tmp_path / "valid.jsonl"
+    write_dataset(path, "robust", DataTier.NTUPLE, [
+        {"run": 1, "event": event, "cols": {"met": 1.5, "n_mu": event}}
+        for event in range(2)])
+    return path.read_bytes()
+
+
+def _read_dataset(path) -> list[dict]:
+    return DatasetReader(path).read_all()
+
+
+class TestDatasetDamage:
+    """Each damaged dataset raises a PersistenceError naming path:line."""
+
+    HEADER = b'{"format":"repro-dataset","tier":"AOD"}\n'
+
+    @pytest.mark.parametrize("data, where", [
+        (b'{"format": "\xff"}\n', ":1:"),
+        (b"[1, 2]\n", ":1:"),
+        (HEADER + b'{"run": 1}\n{"run": "\xff"}\n', ":3:"),
+        (HEADER + b"[1, 2]\n", ":2:"),
+    ], ids=["header-non-utf8", "header-json-list", "record-non-utf8",
+            "record-json-list"])
+    def test_names_file_and_line(self, data, where, tmp_path):
+        path = tmp_path / "damaged.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(PersistenceError,
+                           match=f"damaged.jsonl{where}"):
+            _read_dataset(path)
+
+    def test_valid_dataset_loads(self, tmp_path):
+        path = tmp_path / "doc.jsonl"
+        path.write_bytes(_dataset_bytes(tmp_path))
+        assert len(_read_dataset(path)) == 2
+
+    @_PROPERTY
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data, tmp_path):
+        _read(_read_dataset, tmp_path / "doc.jsonl", data)
+
+    def test_every_truncation_of_a_valid_dataset(self, tmp_path):
+        data = _dataset_bytes(tmp_path)
+        for end in range(len(data)):
+            _read(_read_dataset, tmp_path / "doc.jsonl", data[:end])
+
+    def test_every_header_field_with_a_wrong_type(self, tmp_path):
+        header, _, records = _dataset_bytes(tmp_path).partition(b"\n")
+        valid = json.loads(header)
+        for path in _field_paths(valid):
+            for value in (None, [], {}, "x", 1.5, float("nan"),
+                          float("inf")):
+                record = _with_value(valid, path, value)
+                _read(_read_dataset, tmp_path / "doc.jsonl",
+                      json.dumps(record).encode("utf-8") + b"\n"
+                      + records)
+
+    @_PROPERTY
+    @given(position=st.floats(min_value=0.0, max_value=1.0),
+           byte=st.integers(min_value=0x80, max_value=0xff))
+    def test_non_utf8_datasets(self, position, byte, tmp_path):
+        data = _dataset_bytes(tmp_path)
+        index = int(position * len(data))
+        _read(_read_dataset, tmp_path / "doc.jsonl",
               data[:index] + bytes([byte]) + data[index:])
