@@ -531,8 +531,7 @@ def _read_aods(path: str):
 def _cmd_skim(args) -> int:
     from repro.datamodel import DataTier, SkimSpec, write_dataset
 
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = SkimSpec.from_dict(json.load(handle))
+    spec = SkimSpec.load(args.spec)
     aods = _read_aods(args.input)
     selected = spec.apply(aods)
     header = write_dataset(
@@ -622,11 +621,12 @@ def _cmd_lint(args) -> int:
     from repro.lint import (
         LintConfig,
         LintSession,
+        analyze_tree,
+        deep_findings,
+        det_findings,
         lint_bundled_artifacts,
         lint_path,
-        lint_tree_deep,
-        lint_tree_det,
-        lint_tree_par,
+        par_findings,
         render_json,
         render_rule_catalog,
         render_text,
@@ -646,14 +646,25 @@ def _cmd_lint(args) -> int:
                         suppressions=_parse_suppressions(args.suppress))
     tracer, obs_metrics = _trace_context(args, "lint")
     session = LintSession(config, tracer=tracer, metrics=obs_metrics)
+    graph_passes = [(name, findings) for name, wanted, findings in (
+        ("lint.flow", args.deep, deep_findings),
+        ("lint.par", args.deep or args.par, par_findings),
+        ("lint.det", args.deep or args.det, det_findings),
+    ) if wanted]
 
-    def lint_target(label: str, *passes) -> None:
-        """One target under its span, timed into the histogram."""
+    def lint_target(label: str, shallow, tree) -> None:
+        """One target, each pass under a span; one graph for ``tree``."""
         with session.obs.span("lint.target", target=label) as span:
             started = time.monotonic()
             before = len(session.report().findings)
-            for lint_pass in passes:
-                session.extend(lint_pass())
+            with session.obs.span("lint.shallow"):
+                session.extend(shallow())
+            if tree is not None and graph_passes:
+                with session.obs.span("lint.graph"):
+                    graph = analyze_tree(tree)
+                for name, findings in graph_passes:
+                    with session.obs.span(name):
+                        session.extend(findings(graph))
             span.set("n_findings",
                      len(session.report().findings) - before)
         if obs_metrics is not None:
@@ -663,34 +674,15 @@ def _cmd_lint(args) -> int:
     with session.obs.span("lint.run", n_targets=len(args.targets),
                           bundled=bool(args.bundled)):
         for target in args.targets:
-            if not Path(target).exists():
-                raise ReproError(
-                    f"lint target {target!r} does not exist"
-                )
-            passes = [functools.partial(lint_path, target)]
-            is_tree = (Path(target).is_dir()
-                       or Path(target).suffix == ".py")
-            if args.deep and is_tree:
-                passes.append(functools.partial(lint_tree_deep, target))
-            if (args.par or args.deep) and is_tree:
-                passes.append(functools.partial(lint_tree_par, target))
-            if (args.det or args.deep) and is_tree:
-                passes.append(functools.partial(lint_tree_det, target))
-            lint_target(target, *passes)
+            path = Path(target)
+            if not path.exists():
+                raise ReproError(f"lint target {target!r} does not exist")
+            tree = target if path.is_dir() or path.suffix == ".py" else None
+            lint_target(target, functools.partial(lint_path, target), tree)
         if args.bundled:
-            passes = [lint_bundled_artifacts]
-            if args.deep or args.par or args.det:
-                import repro.rivet.standard_analyses as standard_analyses
-                if args.deep:
-                    passes.append(functools.partial(
-                        lint_tree_deep, standard_analyses.__file__))
-                if args.deep or args.par:
-                    passes.append(functools.partial(
-                        lint_tree_par, standard_analyses.__file__))
-                if args.deep or args.det:
-                    passes.append(functools.partial(
-                        lint_tree_det, standard_analyses.__file__))
-            lint_target("<bundled>", *passes)
+            import repro.rivet.standard_analyses as standard_analyses
+            lint_target("<bundled>", lint_bundled_artifacts,
+                        standard_analyses.__file__)
     report = session.report()
     _write_trace(args, tracer, obs_metrics, provenance={
         "command": "lint",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.core.describe import AnalysisDescription
 from repro.datamodel.event import AODEvent
 from repro.errors import PersistenceError, PreservationError
@@ -129,23 +130,13 @@ class AnalysisDatabase:
     @classmethod
     def load(cls, path: str | Path) -> "AnalysisDatabase":
         """Read a database written by :meth:`save`."""
-        path = Path(path)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot read analysis database {path}: {exc}"
-            )
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"analysis database {path} is not valid JSON: {exc}"
-            )
-        if payload.get("format") != _FORMAT_TAG:
-            raise PersistenceError(
-                f"{path} is not an analysis database"
-            )
-        database = cls(name=str(payload.get("name", "analysis-db")))
-        for record in payload.get("analyses", []):
-            database.add(AnalysisDescription.from_dict(record))
-        return database
+        def parse(payload: dict) -> "AnalysisDatabase":
+            if payload.get("format") != _FORMAT_TAG:
+                raise PersistenceError(
+                    f"unknown format {payload.get('format')!r}")
+            database = cls(name=str(payload.get("name", "analysis-db")))
+            for record in payload.get("analyses", []):
+                database.add(AnalysisDescription.from_dict(record))
+            return database
+        return load_json_document(path, parse, PersistenceError,
+                                  "analysis database")

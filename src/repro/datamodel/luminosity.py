@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.errors import DataModelError, PersistenceError
 
 
@@ -197,16 +198,8 @@ class GoodRunList:
     @classmethod
     def load(cls, path: str | Path) -> "GoodRunList":
         """Read a file written by :meth:`save`."""
-        path = Path(path)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        except OSError as exc:
-            raise PersistenceError(f"cannot read GRL {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"GRL {path} is not valid JSON: {exc}"
-            )
+        return load_json_document(path, cls.from_dict, PersistenceError,
+                                  "GRL")
 
 
 def certify_good_runs(registry: RunRegistry,

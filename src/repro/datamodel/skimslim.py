@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
+from repro.core.canonical import load_json_document
 from repro.datamodel.event import AODEvent, NtupleRow
 from repro.errors import DataModelError
 from repro.kinematics import invariant_mass
@@ -348,6 +349,12 @@ class SkimSpec:
         """Inverse of :meth:`to_dict`."""
         return cls(name=str(record["name"]),
                    cut=cut_from_dict(record["cut"]))
+
+    @classmethod
+    def load(cls, path) -> "SkimSpec":
+        """Read a JSON skim spec file, as ``repro skim --spec`` does."""
+        return load_json_document(path, cls.from_dict, DataModelError,
+                                  "skim spec")
 
 
 #: Derived-column expressions available to slims, by name. Keeping this a

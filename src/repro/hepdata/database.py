@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.errors import HepDataError, PersistenceError, RecordNotFoundError
 from repro.hepdata.records import HepDataRecord
 
@@ -97,22 +98,16 @@ class HepDataArchive:
     @classmethod
     def load(cls, path: str | Path) -> "HepDataArchive":
         """Read an archive written by :meth:`save`."""
-        path = Path(path)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise PersistenceError(f"cannot read archive {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(f"archive {path} is not valid JSON: "
-                                   f"{exc}")
-        if payload.get("format") != _FORMAT_TAG:
-            raise PersistenceError(
-                f"not a hepdata archive: format={payload.get('format')!r}"
-            )
-        archive = cls(name=str(payload.get("name", "hepdata")))
-        for record_id, versions in payload.get("records", {}).items():
-            archive._records[record_id] = [
-                HepDataRecord.from_dict(version) for version in versions
-            ]
-        return archive
+        def parse(payload: dict) -> "HepDataArchive":
+            if payload.get("format") != _FORMAT_TAG:
+                raise PersistenceError(
+                    f"unknown format {payload.get('format')!r}")
+            archive = cls(name=str(payload.get("name", "hepdata")))
+            for record_id, versions in payload.get("records", {}).items():
+                archive._records[record_id] = [
+                    HepDataRecord.from_dict(version)
+                    for version in versions
+                ]
+            return archive
+        return load_json_document(path, parse, PersistenceError,
+                                  "hepdata archive")

@@ -43,6 +43,7 @@ from repro.lint.flow import (
     check_manifest_against_archive,
     check_manifest_against_recast,
     check_manifest_against_repository,
+    deep_findings,
     extract_closure,
     lint_tree_deep,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "check_manifest_against_recast",
     "check_manifest_against_repository",
     "classify_document",
+    "deep_findings",
     "det_findings",
     "extract_closure",
     "get_rule",

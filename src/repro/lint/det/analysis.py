@@ -69,7 +69,9 @@ class _DetAnalysis(ChainAnalysis):
         self.det_scans = {
             name: scan_det_module(name, scan)
             for name, scan in sorted(graph.scans.items())}
-        super().__init__(graph, self.det_scans, _KIND_CODES)
+        super().__init__(graph, {
+            qualname: found for scan in self.det_scans.values()
+            for qualname, found in scan.facts.items()}, _KIND_CODES)
 
     # -- roots ---------------------------------------------------------
 

@@ -38,11 +38,9 @@ from repro.lint.flow.modgraph import (
 from repro.lint.flow.taint import (
     TaintFact,
     TaintKind,
-    TaintTrace,
     deep_findings,
     direct_facts,
     lint_tree_deep,
-    trace_from,
 )
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "ModuleNode",
     "TaintFact",
     "TaintKind",
-    "TaintTrace",
     "analyze_tree",
     "archive_closure_sources",
     "build_call_graph",
@@ -69,5 +66,4 @@ __all__ = [
     "extract_closure_from_graph",
     "lint_tree_deep",
     "source_module_payload",
-    "trace_from",
 ]

@@ -1,11 +1,14 @@
-"""Root-to-fact witness chains shared by the par and det passes.
+"""Root-to-fact witness chains shared by the deep, par and det passes.
 
-Both passes attach direct facts to call-graph functions, drop the facts
-waived at their source line, and report, per root and fact kind, the
-shortest chain of resolved call edges from the root to a function
-holding that fact. ``module:<module>`` pseudo-nodes are not descended
-into: import-time work runs once, under the import lock and before any
-pool or serialisation, and is policed by DAS006/DAS206.
+Each pass attaches direct facts to call-graph functions, drops the
+facts waived at their source line, and reports, per root and fact kind,
+the shortest chain of resolved call edges from the root to a function
+holding that fact. Two class-level settings tell the passes apart: par
+and det do not descend into ``module:<module>`` pseudo-nodes (import-time
+work runs once, under the import lock and before any pool or
+serialisation, and is policed by DAS006/DAS206), while the deep pass
+does; and the deep pass leaves a fact held by the root itself to the
+shallow rules, which already report it.
 """
 
 from __future__ import annotations
@@ -30,12 +33,17 @@ def render_chain(chain: tuple[str, ...]) -> str:
 class ChainAnalysis:
     """Waivers, surviving facts and shortest chains over one graph.
 
-    ``scans`` maps module names to per-module scans whose ``facts``
-    map qualnames to fact tuples; ``kind_codes`` names, per fact kind,
-    every rule code whose waiver at the fact line drops the fact.
+    ``facts`` maps function qualnames to their direct fact tuples;
+    ``kind_codes`` names, per fact kind, every rule code whose waiver
+    at the fact line drops the fact.
     """
 
-    def __init__(self, graph: CallGraph, scans: dict,
+    #: Whether chains descend into ``module:<module>`` pseudo-nodes.
+    follow_imports = False
+    #: Whether a fact held by the root itself ends a chain of one.
+    root_facts = True
+
+    def __init__(self, graph: CallGraph, facts: dict,
                  kind_codes: dict) -> None:
         self.graph = graph
         self.waivers = {
@@ -43,14 +51,13 @@ class ChainAnalysis:
             for name, node in graph.modules.modules.items()
             if not node.parse_error}
         self.facts: dict[str, tuple] = {}
-        for name, scan in scans.items():
-            for qualname, found in scan.facts.items():
-                kept = tuple(
-                    fact for fact in found
-                    if not self._waived(name, fact.line,
-                                        kind_codes[fact.kind]))
-                if kept:
-                    self.facts[qualname] = kept
+        for qualname, found in facts.items():
+            module = qualname.partition(":")[0]
+            kept = tuple(fact for fact in found
+                         if not self._waived(module, fact.line,
+                                             kind_codes[fact.kind]))
+            if kept:
+                self.facts[qualname] = kept
         self.findings: list[Finding] = []
 
     def _waived(self, module: str, line: int,
@@ -69,7 +76,7 @@ class ChainAnalysis:
         """Shortest (fact, holder chain) per fact kind from a root.
 
         Deterministic breadth-first search over resolved call edges,
-        neighbours in sorted order, pseudo-nodes skipped.
+        neighbours in sorted order.
         """
         traces: dict = {}
         seen = {root}
@@ -77,14 +84,16 @@ class ChainAnalysis:
             [(root, (root,))])
         while queue:
             current, chain = queue.popleft()
-            for fact in self.facts.get(current, ()):
-                if fact.kind not in traces:
-                    traces[fact.kind] = (fact, chain)
+            if self.root_facts or len(chain) > 1:
+                for fact in self.facts.get(current, ()):
+                    if fact.kind not in traces:
+                        traces[fact.kind] = (fact, chain)
             info = self.graph.functions.get(current)
             if info is None:
                 continue
             for callee, _ in sorted(info.calls):
-                if callee.endswith(":<module>") or callee in seen:
+                if callee in seen or (not self.follow_imports
+                                      and callee.endswith(":<module>")):
                     continue
                 seen.add(callee)
                 queue.append((callee, chain + (callee,)))

@@ -5,8 +5,9 @@ stands. This pass asks the question preservation actually cares about:
 *can an Analysis entry point reach that statement?* Direct facts are
 classified from the call graph's external events using the same tables
 the shallow pass uses, then propagated backwards along call and
-import edges. Findings fire on the entry point, carrying the full
-propagation chain in the message.
+import edges by the chain engine the par and det passes share
+(:mod:`repro.lint.flow.chains`). Findings fire on the entry point,
+carrying the full propagation chain in the message.
 
 A fact whose source line is waived with ``# lint: ignore[...]`` — by
 the matching shallow code (``DAS001``…), the matching deep code
@@ -21,12 +22,11 @@ deep rules only report what at least one call or import edge hides.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, ClassInfo, analyze_tree
-from repro.lint.flow.chains import render_chain
+from repro.lint.flow.chains import ChainAnalysis, render_chain
 from repro.lint.flow.rules import (
     RULE_CLOSURE_UNRESOLVED,
     RULE_DEEP_ENV,
@@ -42,7 +42,6 @@ from repro.lint.pycheck import (
     _OS_FILE_CALLS,
     _PATH_METHODS,
     _WALLCLOCK_CALLS,
-    _ignored_codes_by_line,
 )
 
 
@@ -66,6 +65,11 @@ _KIND_RULES = {
     TaintKind.ENV_READ: (RULE_DEEP_ENV, "DAS005"),
     TaintKind.GLOBAL_WRITE: (RULE_DEEP_GLOBAL_WRITE, "DAS006"),
 }
+
+#: Every code a fact kind surfaces as — a waiver at the fact line
+#: naming either (or a bare marker) kills all chains through it.
+_KIND_CODES = {kind: {rule.code, shallow_code}
+               for kind, (rule, shallow_code) in _KIND_RULES.items()}
 
 
 @dataclass(frozen=True)
@@ -139,28 +143,16 @@ def _classify_event(event: tuple) -> tuple | None:
 
 
 def direct_facts(graph: CallGraph) -> dict[str, tuple[TaintFact, ...]]:
-    """Per-function direct impurity facts, with waivers applied."""
-    waivers: dict[str, dict] = {}
-    for name, node in graph.modules.modules.items():
-        waivers[name] = _ignored_codes_by_line(node.source)
+    """Per-function direct impurity facts, before waivers."""
     facts: dict[str, tuple[TaintFact, ...]] = {}
     for qualname, info in graph.functions.items():
         found: list[TaintFact] = []
         for event in info.events:
             classified = _classify_event(event)
-            if classified is None:
-                continue
-            kind, description = classified
-            line = event[2]
-            waived = waivers.get(info.module, {})
-            if line in waived:
-                codes = waived[line]
-                deep_rule, shallow_code = _KIND_RULES[kind]
-                if codes is None or {shallow_code,
-                                     deep_rule.code} & codes:
-                    continue
-            found.append(TaintFact(kind=kind, description=description,
-                                   module=info.module, line=line))
+            if classified is not None:
+                kind, description = classified
+                found.append(TaintFact(kind=kind, description=description,
+                                       module=info.module, line=event[2]))
         if found:
             facts[qualname] = tuple(sorted(
                 found, key=lambda f: (f.line, f.kind.value,
@@ -168,102 +160,61 @@ def direct_facts(graph: CallGraph) -> dict[str, tuple[TaintFact, ...]]:
     return facts
 
 
-@dataclass(frozen=True)
-class TaintTrace:
-    """One witness chain from an entry point to a direct fact."""
+class _DeepAnalysis(ChainAnalysis):
+    """One deep pass over one built call graph."""
 
-    entry: str  # entry method qualname
-    fact: TaintFact
-    chain: tuple[str, ...]  # qualnames, entry first, fact holder last
+    follow_imports = True
+    root_facts = False
 
-    def render_chain(self) -> str:
-        """`a.f -> b.g -> c.h` with graph qualnames made readable."""
-        return render_chain(self.chain)
+    def __init__(self, graph: CallGraph) -> None:
+        super().__init__(graph, direct_facts(graph), _KIND_CODES)
 
+    def _entry_findings(self, entry: ClassInfo) -> None:
+        """One finding per kind, from the first lifecycle method.
 
-def trace_from(graph: CallGraph,
-               facts: dict[str, tuple[TaintFact, ...]],
-               entry: str) -> list[TaintTrace]:
-    """Shortest witness chain per taint kind reachable from ``entry``.
-
-    Deterministic breadth-first search: neighbours are visited in
-    sorted order, so equal-length chains always resolve the same way.
-    """
-    if entry not in graph.functions:
-        return []
-    traces: dict[TaintKind, TaintTrace] = {}
-    seen = {entry}
-    queue: deque[tuple[str, tuple[str, ...]]] = deque(
-        [(entry, (entry,))])
-    while queue:
-        current, chain = queue.popleft()
-        for fact in facts.get(current, ()):
-            if fact.kind not in traces and len(chain) > 1:
-                traces[fact.kind] = TaintTrace(
-                    entry=entry, fact=fact, chain=chain)
-        info = graph.functions.get(current)
-        if info is None:
-            continue
-        for callee, _ in sorted(info.calls):
-            if callee not in seen:
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-    return [traces[kind] for kind in sorted(traces,
-                                            key=lambda k: k.value)]
-
-
-def _entry_findings(graph: CallGraph,
-                    facts: dict[str, tuple[TaintFact, ...]],
-                    entry: ClassInfo,
-                    waivers: dict[str, dict]) -> list[Finding]:
-    findings: list[Finding] = []
-    reported: set[tuple[str, TaintKind]] = set()
-    node = graph.modules.modules.get(entry.module)
-    file = node.path if node is not None else ""
-    for method_qualname in graph.entry_methods(entry):
-        method = method_qualname.rpartition(".")[2]
-        for trace in trace_from(graph, facts, method_qualname):
-            if (entry.qualname, trace.fact.kind) in reported:
-                continue
-            reported.add((entry.qualname, trace.fact.kind))
-            rule, _ = _KIND_RULES[trace.fact.kind]
-            fact_node = graph.modules.modules.get(trace.fact.module)
-            fact_file = (fact_node.path if fact_node is not None
-                         else trace.fact.module)
-            lineno = graph.functions[method_qualname].lineno
-            line_waivers = waivers.get(entry.module, {})
-            if lineno in line_waivers:
-                codes = line_waivers[lineno]
-                if codes is None or rule.code in codes:
+        The first lifecycle method that reaches a kind claims it for
+        the class, so a waiver on its def line drops that kind from
+        every later method too.
+        """
+        reported: set[TaintKind] = set()
+        for method_qualname in self.graph.entry_methods(entry):
+            method = method_qualname.rpartition(".")[2]
+            lineno = self.graph.functions[method_qualname].lineno
+            traces = self._trace(method_qualname)
+            for kind in sorted(traces, key=lambda k: k.value):
+                if kind in reported:
                     continue
-            findings.append(rule.finding(
-                f"analysis {entry.name!r}: {method}() reaches "
-                f"{trace.fact.description} via {trace.render_chain()} "
-                f"({fact_file}:{trace.fact.line})",
-                artifact=entry.name, file=file, line=lineno,
-            ))
-    return findings
+                reported.add(kind)
+                rule, _ = _KIND_RULES[kind]
+                if self._waived(entry.module, lineno, {rule.code}):
+                    continue
+                fact, chain = traces[kind]
+                self.findings.append(rule.finding(
+                    f"analysis {entry.name!r}: {method}() reaches "
+                    f"{fact.description} via {render_chain(chain)} "
+                    f"({self._module_file(fact.module)}:{fact.line})",
+                    artifact=entry.name,
+                    file=self._module_file(entry.module), line=lineno,
+                ))
+
+    def run(self) -> list[Finding]:
+        for entry in self.graph.analysis_entries():
+            self._entry_findings(entry)
+        for name in sorted(set(self.graph.modules.targets)):
+            node = self.graph.modules.modules[name]
+            for rendered, line in node.unresolved_imports:
+                self.findings.append(RULE_CLOSURE_UNRESOLVED.finding(
+                    f"relative import {rendered!r} cannot be resolved "
+                    f"inside the tree; the dependency closure is "
+                    f"incomplete",
+                    file=node.path, line=line,
+                ))
+        return self.findings
 
 
 def deep_findings(graph: CallGraph) -> list[Finding]:
     """All DAS201–DAS207 findings for one analysed tree."""
-    facts = direct_facts(graph)
-    waivers = {name: _ignored_codes_by_line(node.source)
-               for name, node in graph.modules.modules.items()}
-    findings: list[Finding] = []
-    for entry in graph.analysis_entries():
-        findings.extend(_entry_findings(graph, facts, entry, waivers))
-    wanted = set(graph.modules.targets)
-    for name in sorted(wanted):
-        node = graph.modules.modules[name]
-        for rendered, line in node.unresolved_imports:
-            findings.append(RULE_CLOSURE_UNRESOLVED.finding(
-                f"relative import {rendered!r} cannot be resolved "
-                f"inside the tree; the dependency closure is "
-                f"incomplete",
-                file=node.path, line=line,
-            ))
-    return findings
+    return _DeepAnalysis(graph).run()
 
 
 def lint_tree_deep(root) -> list[Finding]:

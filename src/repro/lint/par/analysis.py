@@ -97,7 +97,9 @@ class _ParAnalysis(ChainAnalysis):
         self.par_scans = {
             name: scan_par_module(name, scan)
             for name, scan in sorted(graph.scans.items())}
-        super().__init__(graph, self.par_scans, _KIND_CODES)
+        super().__init__(graph, {
+            qualname: found for scan in self.par_scans.values()
+            for qualname, found in scan.facts.items()}, _KIND_CODES)
 
     # -- worker roots --------------------------------------------------
 

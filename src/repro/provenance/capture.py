@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.errors import PersistenceError, ProvenanceError
 from repro.provenance.graph import ProvenanceGraph
 from repro.provenance.records import ArtifactRecord, ProducerRecord
@@ -71,20 +72,11 @@ class ProvenanceCapture:
     @classmethod
     def load(cls, path: str | Path) -> "ProvenanceCapture":
         """Rebuild a capture (enabled) from an exported graph."""
-        path = Path(path)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot load provenance from {path}: {exc}"
-            )
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"provenance file {path} is not valid JSON: {exc}"
-            )
-        capture = cls(enabled=True)
-        capture.graph = ProvenanceGraph.from_dict(record)
-        if len(capture.graph) == 0 and record.get("artifacts"):
-            raise ProvenanceError(f"provenance file {path} failed to load")
-        return capture
+        def parse(record: dict) -> "ProvenanceCapture":
+            capture = cls(enabled=True)
+            capture.graph = ProvenanceGraph.from_dict(record)
+            if len(capture.graph) == 0 and record.get("artifacts"):
+                raise ProvenanceError("failed to load")
+            return capture
+        return load_json_document(path, parse, PersistenceError,
+                                  "provenance file")

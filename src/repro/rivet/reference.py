@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
 from repro.errors import PersistenceError, RivetError
 from repro.stats.histogram import Histogram1D
 
@@ -88,16 +89,5 @@ class ReferenceData:
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceData":
         """Read from a JSON file written by :meth:`save`."""
-        path = Path(path)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot read reference data {path}: {exc}"
-            )
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"reference data {path} is not valid JSON: {exc}"
-            )
-        return cls.from_dict(record)
+        return load_json_document(path, cls.from_dict, PersistenceError,
+                                  "reference data")

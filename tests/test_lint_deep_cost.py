@@ -3,10 +3,12 @@
 Each of ``lint_tree_deep``, ``lint_tree_par`` and ``lint_tree_det``
 parses every module of the tree exactly once — the module-graph scan
 hands its trees to the call graph, and the par/det scans read the call
-graph's. ``par_findings``/``det_findings`` on a built graph parse
-nothing. A pass frees everything it built by reference counting alone:
-no reference cycle keeps a call graph (and every AST in it) alive until
-the cyclic collector happens to run.
+graph's. ``deep_findings``/``par_findings``/``det_findings`` on a built
+graph parse nothing, so ``repro lint --deep`` parses every module
+twice: once for the shallow pass and once for the one graph its three
+deep passes share. A pass frees everything it built by reference
+counting alone: no reference cycle keeps a call graph (and every AST in
+it) alive until the cyclic collector happens to run.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from collections import Counter
 import pytest
 
 from perfbench.corpus import write_corpus
+from repro.cli import main
 from repro.lint import (
     analyze_tree,
+    deep_findings,
     det_findings,
     lint_tree_deep,
     lint_tree_det,
@@ -58,7 +62,8 @@ def test_each_pass_parses_every_module_once(run, corpus, parses):
     assert dict(parses) == expected
 
 
-@pytest.mark.parametrize("findings", [par_findings, det_findings],
+@pytest.mark.parametrize("findings",
+                         [deep_findings, par_findings, det_findings],
                          ids=lambda findings: findings.__name__)
 def test_findings_on_a_built_graph_parse_nothing(findings, corpus,
                                                  parses):
@@ -66,6 +71,14 @@ def test_findings_on_a_built_graph_parse_nothing(findings, corpus,
     parses.clear()
     assert findings(graph)
     assert not parses
+
+
+def test_cli_deep_lint_parses_every_module_twice(corpus, parses, capsys):
+    main(["lint", "--deep", str(corpus)])
+    capsys.readouterr()
+    expected = {str(path): 2 for path in sorted(corpus.rglob("*.py"))}
+    assert len(expected) == 32
+    assert dict(parses) == expected
 
 
 @pytest.mark.parametrize("run", PASSES, ids=lambda run: run.__name__)

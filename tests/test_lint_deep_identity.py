@@ -5,11 +5,14 @@ the known-bad fixtures of the par and det suites, and a handful of
 trees whose findings depend on the order the scans visit nodes in
 (shadowed bindings at different depths, ``global`` declared in a nested
 def, nested-def parameters used before the def, two dispatch sites on
-one line). The SHA-256 of ``render_json`` over each deep pass's
-findings is compared with a pinned digest, so any change to the
-analysis output — not just to finding codes — fails here. The
-shallow ``lint_path`` findings are left out: they embed absolute
-paths.
+one line), and trees for what only the DAS2xx chains do (descending
+into ``(import)`` pseudo-nodes, skipping a fact the entry method holds
+itself, waivers by shallow and deep code at the fact and at the entry
+def line, two lifecycle methods reaching one kind). The SHA-256 of
+``render_json`` over each deep pass's findings is compared with a
+pinned digest, so any change to the analysis output — not just to
+finding codes — fails here. The shallow ``lint_path`` findings are
+left out: they embed absolute paths.
 """
 
 from __future__ import annotations
@@ -146,6 +149,180 @@ ORDER_SENSITIVE = {
 }
 
 
+_BASE = """
+    class Analysis:
+        pass
+"""
+
+DEEP_SPECIFIC = {
+    # The only wall-clock read runs when ``stamps`` is imported; the
+    # chain reaches it through two ``(import)`` pseudo-nodes.
+    "deep_import_time": {
+        "base.py": _BASE,
+        "stamps.py": """
+            import time
+
+            STARTED = time.time()
+
+            def label():
+                return "run"
+        """,
+        "analysis.py": """
+            from base import Analysis
+            import stamps
+
+            class StampAnalysis(Analysis):
+                def analyze(self, event):
+                    return event
+        """,
+    },
+    # The entry method's own wall-clock read is the shallow rules'
+    # business; it must not hide the longer chain to the helper's.
+    "deep_entry_fact": {
+        "base.py": _BASE,
+        "helpers.py": """
+            import os
+            import time
+
+            def offset():
+                return time.perf_counter() % 1.0
+
+            def tag():
+                return os.getenv("TAG")
+        """,
+        "analysis.py": """
+            import time
+
+            from base import Analysis
+            import helpers
+
+            class ClockAnalysis(Analysis):
+                def analyze(self, event):
+                    started = time.time()
+                    return event + helpers.offset() + started
+
+                def finalize(self):
+                    import os
+                    return os.getenv("MODE"), helpers.tag()
+        """,
+    },
+    # Waivers at the fact line: the shallow code, the deep code, a bare
+    # marker on the line above, and a code of the wrong kind (which
+    # waives nothing). A waived short chain lets a longer one through.
+    "deep_fact_waivers": {
+        "base.py": _BASE,
+        "helpers.py": """
+            import os
+            import random
+            import time
+
+            def clock():
+                return time.time()  # lint: ignore[DAS001]
+
+            def draw():
+                return random.random()  # lint: ignore[DAS202]
+
+            def home():
+                # lint: ignore
+                return os.getenv("HOME")
+
+            def dump(path):
+                return open(path)  # lint: ignore[DAS001]
+
+            def deeper():
+                return slower()
+
+            def slower():
+                return time.monotonic()
+        """,
+        "analysis.py": """
+            from base import Analysis
+            import helpers
+
+            class WaivedAnalysis(Analysis):
+                def analyze(self, event):
+                    helpers.clock()
+                    helpers.draw()
+                    helpers.home()
+                    helpers.dump(event)
+                    return helpers.deeper()
+        """,
+    },
+    # Waivers at the entry def line drop that finding only. A kind the
+    # waived ``__init__`` reaches first is not re-reported through a
+    # later lifecycle method.
+    "deep_entry_waivers": {
+        "base.py": _BASE,
+        "helpers.py": """
+            import random
+            import time
+
+            def clock():
+                return time.time()
+
+            def draw():
+                return random.random()
+        """,
+        "analysis.py": """
+            from base import Analysis
+            import helpers
+
+            class WaiverAnalysis(Analysis):
+                def __init__(self):  # lint: ignore[DAS201]
+                    self.t0 = helpers.clock()
+                    self.r0 = helpers.draw()
+
+                def analyze(self, event):
+                    return helpers.clock() + event
+
+            class BareAnalysis(Analysis):
+                # lint: ignore
+                def analyze(self, event):
+                    return helpers.draw() + helpers.clock()
+        """,
+    },
+    # Two lifecycle methods reach the same kinds by different chains;
+    # each kind is reported once, from the earliest lifecycle method.
+    "deep_two_lifecycle": {
+        "base.py": _BASE,
+        "helpers.py": """
+            import datetime
+            import time
+
+            def clock():
+                return time.time()
+
+            def today():
+                return datetime.date.today()
+
+            def both():
+                return clock(), today()
+
+            COUNTER = []
+
+            def bump():
+                COUNTER.append(1)
+        """,
+        "analysis.py": """
+            from base import Analysis
+            import helpers
+            from .missing import nothing
+
+            class TwiceAnalysis(Analysis):
+                def init(self):
+                    return helpers.today()
+
+                def analyze(self, event):
+                    helpers.bump()
+                    return helpers.both()
+
+                def finalize(self):
+                    return helpers.clock()
+        """,
+    },
+}
+
+
 def _cases() -> dict[str, object]:
     cases: dict[str, object] = {f"corpus_seed_{seed}": seed
                                 for seed in (1, 2, 3)}
@@ -163,6 +340,7 @@ def _cases() -> dict[str, object]:
             return add(values, offset, out=values).T, values.ravel()
     """)
     cases.update(ORDER_SENSITIVE)
+    cases.update(DEEP_SPECIFIC)
     return cases
 
 
@@ -214,6 +392,46 @@ PINNED: dict[str, dict[str, str]] = {
             'b53d4089c9e1a62602805c09b2debc5d6b76999bc7c9ce36631fd762b0fe0c8d',
         'det':
             '9ecd1d0f9fe1c4204bae43017c2ac088fea7e910b8ad16342952b53bca15ea0c',
+    },
+    'deep_entry_fact': {
+        'deep':
+            'e19818cb882891f5f87969a54f642532377270828549ca55e12ddcb575dc35fd',
+        'par':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+        'det':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+    },
+    'deep_entry_waivers': {
+        'deep':
+            '69c663442821d7053c390d05bb6df6d0db678435928c06296ebc119240b8755e',
+        'par':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+        'det':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+    },
+    'deep_fact_waivers': {
+        'deep':
+            'af6a075efe0eebc7f4aac544429e780bbdb177e926e5f0fc0737e6e610813ded',
+        'par':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+        'det':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+    },
+    'deep_import_time': {
+        'deep':
+            'ef8b4ea5b492d6f87a23cf73c4047fb6fb2cf218e53e9c27ca541af6592d8935',
+        'par':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+        'det':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+    },
+    'deep_two_lifecycle': {
+        'deep':
+            '8ab5892d1c19f0a5e40692c99b173691bcbf18b83d37e3b87a99deffa9d37ef3',
+        'par':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
+        'det':
+            '32e321515aa991685e31b352e4bc8e18eede6e0403cfa9e5c8ffa4f18317ae36',
     },
     'det_COMPUTED_LABEL': {
         'deep':

@@ -166,6 +166,22 @@ class TestLintTraceOut:
                     for c in report.metrics["counters"]}
         assert any(name == "lint.findings" for name, _ in counters)
 
+    def test_deep_lint_opens_one_span_per_pass(self, tmp_path):
+        target = tmp_path / "analysis.py"
+        target.write_text("import time\nnow = time.time()\n")
+        report_path = tmp_path / "runreport.json"
+        main(["lint", "--deep", str(target), "--bundled",
+              "--trace-out", str(report_path), "--trace-deterministic"])
+        report = RunReport.load(report_path)
+        targets = [span for span in report.spans
+                   if span["name"] == "lint.target"]
+        assert len(targets) == 2
+        for span in targets:
+            assert [child["name"]
+                    for child in report.children_of(span["span_id"])] \
+                == ["lint.shallow", "lint.graph", "lint.flow",
+                    "lint.par", "lint.det"]
+
 
 class TestTraceAndMetricsCommands:
     def test_trace_renders_the_tree(self, traced_campaign, capsys):

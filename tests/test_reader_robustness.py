@@ -2,7 +2,9 @@
 
 Every reader a user can hand a file to — run reports, health reports,
 SLO specs, service submission scripts, preserved-analysis bundles,
-archive catalogues, conditions snapshots and JSON-lines datasets —
+archive catalogues, conditions snapshots, HepData archives, analysis
+databases, good-run lists, RIVET reference data, provenance exports,
+skim specs and JSON-lines datasets —
 must either load the document or raise a :class:`ReproError` subclass
 that names the file (and, for datasets, the line), never a bare
 ``UnicodeDecodeError``, ``JSONDecodeError`` or ``AttributeError``; the
@@ -12,6 +14,8 @@ CLI turns those into exit code 2.
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,17 +23,23 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.conditions import default_conditions, export_snapshot, load_snapshot
-from repro.core import PreservationArchive, PreservedAnalysisBundle
+from repro.core import (
+    AnalysisDatabase,
+    PreservationArchive,
+    PreservedAnalysisBundle,
+)
 from repro.core.metadata import PreservationMetadata
 from repro.datamodel import (
     CountCut,
     DataTier,
     DatasetReader,
+    GoodRunList,
     SkimSpec,
     SlimSpec,
     write_dataset,
 )
 from repro.errors import PersistenceError, PreservationError, ReproError
+from repro.hepdata import HepDataArchive
 from repro.obs import (
     HealthReport,
     MetricsRegistry,
@@ -39,8 +49,13 @@ from repro.obs import (
     Tracer,
     evaluate_slo,
 )
+from repro.provenance import ProducerRecord, ProvenanceCapture
+from repro.rivet import ReferenceData
 from repro.runtime import LogicalClock
 from repro.service import default_service_slo, demo_script, load_script
+from repro.stats import Histogram1D
+from tests.test_core_describe_analysisdb import _description
+from tests.test_hepdata import _cross_section_record
 
 
 def _run_report() -> dict:
@@ -92,6 +107,50 @@ def _snapshot() -> dict:
     return export_snapshot(default_conditions(), "GT-FINAL", 1, 3).to_dict()
 
 
+def _saved(save) -> dict:
+    """The JSON document ``save(path)`` writes."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "doc.json"
+        save(path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _hepdata_archive() -> dict:
+    archive = HepDataArchive("durham")
+    archive.submit(_cross_section_record())
+    return _saved(archive.save)
+
+
+def _analysis_db() -> dict:
+    database = AnalysisDatabase("db")
+    database.add(_description())
+    return _saved(database.save)
+
+
+def _grl() -> dict:
+    grl = GoodRunList("GRL-v1")
+    grl.certify(1, 1, 10)
+    grl.certify(2, 3, 5)
+    return _saved(grl.save)
+
+
+def _reference() -> dict:
+    reference = ReferenceData("X", source="paper")
+    histogram = Histogram1D("X/mass", 4, 0.0, 4.0)
+    histogram.fill(1.5)
+    reference.add("mass", histogram)
+    return _saved(reference.save)
+
+
+def _provenance() -> dict:
+    capture = ProvenanceCapture()
+    first = capture.new_artifact_id("raw")
+    capture.report(first, "dataset", "RAW")
+    capture.report(capture.new_artifact_id("aod"), "dataset", "AOD",
+                   parents=(first,), producer=ProducerRecord("reco", "1.0"))
+    return _saved(capture.export)
+
+
 #: ``(reader, a valid document for it)`` for every reader under test.
 READERS = {
     "run_report": (RunReport.load, _run_report),
@@ -101,6 +160,13 @@ READERS = {
     "bundle": (PreservedAnalysisBundle.load, _bundle),
     "archive": (_load_archive, _catalogue),
     "snapshot": (load_snapshot, _snapshot),
+    "hepdata_archive": (HepDataArchive.load, _hepdata_archive),
+    "analysis_db": (AnalysisDatabase.load, _analysis_db),
+    "grl": (GoodRunList.load, _grl),
+    "reference_data": (ReferenceData.load, _reference),
+    "provenance": (ProvenanceCapture.load, _provenance),
+    "skim_spec": (SkimSpec.load, lambda: SkimSpec(
+        "two-mu", CountCut("muons", 2, min_pt=15.0)).to_dict()),
 }
 
 NON_UTF8 = b'{"a": "\xff"}'
@@ -166,6 +232,35 @@ def test_damaged_archive_and_snapshot_name_the_file(name, data, tmp_path):
     path.write_bytes(data)
     with pytest.raises(PersistenceError, match="damaged.json"):
         READERS[name][0](path)
+
+
+@pytest.mark.parametrize("name", ["hepdata_archive", "analysis_db", "grl",
+                                  "reference_data", "provenance"])
+@pytest.mark.parametrize("data", [b"[1, 2]", NON_UTF8],
+                         ids=["json-list", "non-utf8"])
+def test_damaged_saved_document_names_the_file(name, data, tmp_path):
+    path = tmp_path / "damaged.json"
+    path.write_bytes(data)
+    with pytest.raises(PersistenceError, match="damaged.json"):
+        READERS[name][0](path)
+
+
+class TestSkimSpecDamage:
+    @pytest.mark.parametrize("data", [
+        None,
+        b'{"name": "s", "cut": ',
+        b'{"name": "s"}',
+        NON_UTF8,
+    ], ids=["missing", "bad-json", "no-cut", "non-utf8"])
+    def test_exits_2_naming_the_file(self, data, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if data is not None:
+            spec.write_bytes(data)
+        assert main(["skim", "--spec", str(spec),
+                     "--input", str(tmp_path / "in.jsonl"),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        assert "spec.json" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_snapshot_run_bound_of_infinity_is_a_typed_error(tmp_path):
