@@ -411,17 +411,12 @@ def _cmd_process(args) -> int:
         geometry,
         CachedConditionsView(default_conditions(), args.global_tag),
     )
-    reader = DatasetReader(args.input)
-    if reader.header.tier != DataTier.GEN:
-        raise ReproError(
-            f"{args.input} is a {reader.header.tier.value} file, "
-            f"expected GEN"
-        )
+    events = DatasetReader(args.input).events(DataTier.GEN,
+                                              GenEvent.from_dict)
     # Simulation and digitisation consume one sequential RNG stream, so
     # they stay serial; reconstruction is pure per event and fans out.
-    raws = [digitizer.digitize(simulation.simulate(
-                GenEvent.from_dict(record)))
-            for record in reader.records()]
+    raws = [digitizer.digitize(simulation.simulate(event))
+            for event in events]
     policy = ExecutionPolicy.from_jobs(args.jobs)
     tracer, obs_metrics = _trace_context(args, "process")
     recos = reconstructor.reconstruct_many(
@@ -520,12 +515,8 @@ def _cmd_campaign(args) -> int:
 def _read_aods(path: str):
     from repro.datamodel import AODEvent, DataTier, DatasetReader
 
-    reader = DatasetReader(path)
-    if reader.header.tier != DataTier.AOD:
-        raise ReproError(
-            f"{path} is a {reader.header.tier.value} file, expected AOD"
-        )
-    return [AODEvent.from_dict(record) for record in reader.records()]
+    return list(DatasetReader(path).events(DataTier.AOD,
+                                           AODEvent.from_dict))
 
 
 def _cmd_skim(args) -> int:
@@ -571,19 +562,14 @@ def _cmd_display(args) -> int:
     )
     from repro.outreach.format import Level2Event
 
-    reader = DatasetReader(args.input)
-    if reader.header.tier != DataTier.LEVEL2:
-        raise ReproError(
-            f"{args.input} is a {reader.header.tier.value} file, "
-            f"expected LEVEL2"
-        )
-    records = reader.read_all()
-    if not 0 <= args.event < len(records):
+    events = list(DatasetReader(args.input).events(DataTier.LEVEL2,
+                                                   Level2Event.from_dict))
+    if not 0 <= args.event < len(events):
         raise ReproError(
             f"event index {args.event} out of range 0.."
-            f"{len(records) - 1}"
+            f"{len(events) - 1}"
         )
-    event = Level2Event.from_dict(records[args.event])
+    event = events[args.event]
     if args.svg:
         record = EventDisplayRecord.build(_geometry_for(args.geometry),
                                           event)
@@ -753,11 +739,12 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from repro.core.canonical import canonical_text
     from repro.obs import RunReport, render_metrics, render_prometheus
 
     report = RunReport.load(args.report)
     if args.output_format == "json":
-        print(json.dumps(report.metrics, indent=1, sort_keys=True))
+        print(canonical_text(report.metrics))
     elif args.output_format == "prom":
         sys.stdout.write(render_prometheus(report.metrics))
     else:

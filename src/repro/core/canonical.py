@@ -55,11 +55,9 @@ def canonical_document(payload, *, indent: int = 1) -> bytes:
 def load_json_document(path, parse, error_type, what: str):
     """Decode the UTF-8 JSON document at ``path`` and ``parse`` it.
 
-    An unreadable file, bytes that are not UTF-8 JSON, a record
-    ``parse`` rejects, and a record of the wrong shape (``parse``
-    raising a bare ``KeyError``, ``TypeError``, ``ValueError``,
-    ``AttributeError``, or ``OverflowError`` from ``int(Infinity)``)
-    all raise ``error_type`` naming ``what`` and ``path``.
+    An unreadable file, bytes that are not UTF-8 JSON, and a record
+    :func:`parse_record` refuses all raise ``error_type`` naming
+    ``what`` and ``path``.
     """
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -68,11 +66,19 @@ def load_json_document(path, parse, error_type, what: str):
     except ValueError as exc:
         raise error_type(
             f"{what} {path} is not valid JSON: {exc}") from None
+    return parse_record(parse, record, error_type, f"{what} {path}")
+
+
+def parse_record(parse, record, error_type, where: str):
+    """``parse(record)``; a record it rejects or that has the wrong
+    shape (a bare ``KeyError``, ``TypeError``, ``ValueError``,
+    ``AttributeError``, or ``OverflowError`` from ``int(Infinity)``)
+    raises ``error_type`` naming ``where``."""
     try:
         return parse(record)
     except ReproError as exc:
-        raise error_type(f"{what} {path}: {exc}") from exc
+        raise error_type(f"{where}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError,
             OverflowError) as exc:
-        raise error_type(f"malformed {what} {path}: "
+        raise error_type(f"{where}: malformed: "
                          f"{type(exc).__name__}: {exc}") from None

@@ -10,11 +10,11 @@ property the paper's "self-documenting?" row in Table 1 is probing.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import canonical_json
+from repro.core.canonical import canonical_json, parse_record
 from repro.datamodel.schema import field_documentation, validate_record
 from repro.datamodel.tiers import DataTier
 from repro.errors import PersistenceError, SchemaError
@@ -145,17 +145,9 @@ class DatasetReader:
             )
         if not first_line.strip():
             raise PersistenceError(f"dataset {self.path} is empty")
-        record = self._decode(first_line, 1)
-        try:
-            return DatasetHeader.from_dict(record)
-        except PersistenceError as exc:
-            raise PersistenceError(f"{self.path}:1: {exc}") from None
-        except (AttributeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
-            raise PersistenceError(
-                f"{self.path}:1: malformed header: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
+        return parse_record(DatasetHeader.from_dict,
+                            self._decode(first_line, 1),
+                            PersistenceError, f"{self.path}:1")
 
     def _decode(self, line: bytes, line_number: int) -> dict:
         """One line as a JSON object, or a typed error naming
@@ -174,14 +166,30 @@ class DatasetReader:
                 f"{type(record).__name__}, not a JSON object")
         return record
 
-    def records(self) -> Iterator[dict]:
-        """Stream the event records, one dictionary at a time."""
+    def _numbered(self) -> Iterator[tuple[int, dict]]:
         with self.path.open("rb") as handle:
             handle.readline()  # skip the header
             for line_number, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                yield self._decode(line, line_number)
+                if line.strip():
+                    yield line_number, self._decode(line, line_number)
+
+    def records(self) -> Iterator[dict]:
+        """Stream the event records, one dictionary at a time."""
+        return (record for _, record in self._numbered())
+
+    def events(self, tier: DataTier,
+               decode: Callable[[dict], object]) -> Iterator:
+        """Stream a ``tier`` file's records through ``decode`` (an
+        event class's ``from_dict``); another tier, or a record that
+        :func:`~repro.core.canonical.parse_record` refuses, raises
+        :class:`PersistenceError` naming the file or ``path:line``."""
+        if self.header.tier != tier:
+            raise PersistenceError(
+                f"{self.path} is a {self.header.tier.value} file, "
+                f"expected {tier.value}")
+        return (parse_record(decode, record, PersistenceError,
+                             f"{self.path}:{line_number}")
+                for line_number, record in self._numbered())
 
     def read_all(self) -> list[dict]:
         """All event records as a list."""

@@ -70,8 +70,6 @@ class GenParticle:
     @classmethod
     def from_dict(cls, record: dict) -> "GenParticle":
         """Inverse of :meth:`to_dict`."""
-        prod = record.get("prod_vtx")
-        decay = record.get("decay_vtx")
         return cls(
             index=int(record["index"]),
             pdg_id=int(record["pdg_id"]),
@@ -79,9 +77,17 @@ class GenParticle:
             status=ParticleStatus(int(record["status"])),
             parents=[int(i) for i in record.get("parents", [])],
             children=[int(i) for i in record.get("children", [])],
-            production_vertex=tuple(prod) if prod is not None else None,
-            decay_vertex=tuple(decay) if decay is not None else None,
+            production_vertex=_vertex(record.get("prod_vtx")),
+            decay_vertex=_vertex(record.get("decay_vtx")),
         )
+
+
+def _vertex(values) -> tuple[float, float, float] | None:
+    """An ``[x, y, z]`` record as a position; ``None`` stays ``None``."""
+    if values is None:
+        return None
+    x, y, z = values
+    return float(x), float(y), float(z)
 
 
 @dataclass(slots=True)

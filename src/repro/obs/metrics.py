@@ -25,11 +25,11 @@ report totals back through their return values instead.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import threading
 from dataclasses import dataclass
 
+from repro.core.canonical import canonical_document
 from repro.errors import ObservabilityError
 
 #: Default histogram bucket upper bounds (seconds-flavoured).
@@ -269,8 +269,7 @@ class MetricsRegistry:
 
     def to_json_bytes(self, *, deterministic: bool = False) -> bytes:
         """Deterministic bytes: sorted keys, fixed indent, one LF."""
-        return (json.dumps(self.snapshot(deterministic=deterministic),
-                           indent=1, sort_keys=True) + "\n").encode("utf-8")
+        return canonical_document(self.snapshot(deterministic=deterministic))
 
 
 def render_metrics(snapshot: dict) -> str:

@@ -10,6 +10,7 @@ classroom ("ROOT too heavy for classroom use" — ALICE's comment).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import OutreachError
@@ -17,6 +18,14 @@ from repro.kinematics import FourVector
 
 #: Particle types the simplified format recognises.
 PARTICLE_TYPES = ("electron", "muon", "photon", "jet")
+
+
+def _finite(value) -> float:
+    """``float(value)``; NaN and infinities are not measurements."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise OutreachError(f"non-finite value {number!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -58,10 +67,10 @@ class SimplifiedParticle:
         """Inverse of :meth:`to_dict`."""
         return cls(
             particle_type=str(record["type"]),
-            energy=float(record["E"]),
-            pt=float(record["pt"]),
-            eta=float(record["eta"]),
-            phi=float(record["phi"]),
+            energy=_finite(record["E"]),
+            pt=_finite(record["pt"]),
+            eta=_finite(record["eta"]),
+            phi=_finite(record["phi"]),
             charge=int(record.get("charge", 0)),
         )
 
@@ -131,13 +140,13 @@ class Level2Event:
         return cls(
             run_number=int(record["run"]),
             event_number=int(record["event"]),
-            collision_energy_tev=float(
+            collision_energy_tev=_finite(
                 record.get("collision_energy_tev", 0.0)
             ),
             particles=[SimplifiedParticle.from_dict(p)
                        for p in record.get("particles", [])],
-            met=float(met.get("value", 0.0)),
-            met_phi=float(met.get("phi", 0.0)),
+            met=_finite(met.get("value", 0.0)),
+            met_phi=_finite(met.get("phi", 0.0)),
             candidates=list(record.get("candidates", [])),
             display=(dict(record["display"])
                      if "display" in record else None),

@@ -186,8 +186,7 @@ class RecastService:
         request = self.api.submit(
             analysis_id, model, requester or tenant
         )
-        self._metrics.counter("service.submissions", tenant=tenant).inc()
-        self._telemetry.event("service.submissions", tenant=tenant)
+        self._count("service.submissions", tenant=tenant)
 
         with self._tracer.span("service.submit", tenant=tenant,
                                analysis=analysis_id) as span:
@@ -201,10 +200,7 @@ class RecastService:
                 request.result = cached
                 request.transition(RequestStatus.PENDING_APPROVAL,
                                    "answered from result cache")
-                self._metrics.counter("service.cache_hits",
-                                      tenant=tenant).inc()
-                self._telemetry.event("service.cache_hits",
-                                      tenant=tenant)
+                self._count("service.cache_hits", tenant=tenant)
                 span.set("ticket", TICKET_CACHED)
                 self._record("cache_hit", tenant=tenant, key=key,
                              request_id=request.request_id)
@@ -219,10 +215,7 @@ class RecastService:
                 request.transition(RequestStatus.QUEUED,
                                    f"subscribed to {key[:12]}")
                 existing.request_ids.append(request.request_id)
-                self._metrics.counter("service.dedup_hits",
-                                      tenant=tenant).inc()
-                self._telemetry.event("service.dedup_hits",
-                                      tenant=tenant)
+                self._count("service.dedup_hits", tenant=tenant)
                 span.set("ticket", TICKET_SUBSCRIBED)
                 self._record("dedup_subscribe", tenant=tenant, key=key,
                              request_id=request.request_id,
@@ -239,10 +232,7 @@ class RecastService:
                 self.queue.push(entry)
             except QuotaError as quota:
                 self.api.reject(request.request_id, str(quota))
-                self._metrics.counter("service.quota_rejections",
-                                      tenant=tenant).inc()
-                self._telemetry.event("service.admission_rejections",
-                                      tenant=tenant)
+                self._count("service.quota_rejections", tenant=tenant)
                 span.set("ticket", TICKET_REJECTED)
                 self._record("quota_reject", tenant=tenant, key=key,
                              request_id=request.request_id,
@@ -259,7 +249,7 @@ class RecastService:
                 request_ids=[request.request_id],
                 enqueued_at=self.clock.now(),
             )
-            self._telemetry.event("service.admissions", tenant=tenant)
+            self._count("service.admissions", tenant=tenant)
             span.set("ticket", TICKET_QUEUED)
             self._record("enqueue", tenant=tenant, key=key,
                          request_id=request.request_id,
@@ -283,8 +273,7 @@ class RecastService:
             self._readmit_ready(now)
             tasks = self._grant_leases(now)
             committed = self._dispatch(tasks)
-            self._update_depth_gauges()
-            self._sample_depth_series(now)
+            self._sample_depths()
             self.clock.advance()
             self._telemetry.flush()
             self._steps += 1
@@ -316,10 +305,7 @@ class RecastService:
             self.leases.revoke(lease.key)
             execution = self._executions[lease.key]
             primary = self.api.get_request(execution.request_ids[0])
-            self._metrics.counter("service.leases_expired",
-                                  tenant=lease.tenant).inc()
-            self._telemetry.event("service.lease_expiries",
-                                  tenant=lease.tenant)
+            self._count("service.lease_expiries", tenant=lease.tenant)
             self._record("lease_expire", key=lease.key,
                          lease_id=lease.lease_id,
                          tenant=lease.tenant, attempt=lease.attempt)
@@ -337,10 +323,7 @@ class RecastService:
                     f"lease {lease.lease_id} expired; retry in {delay:g}"
                 )
                 self._backoff[lease.key] = now + delay
-                self._metrics.counter("service.retries",
-                                      tenant=lease.tenant).inc()
-                self._telemetry.event("service.lease_retries",
-                                      tenant=lease.tenant)
+                self._count("service.lease_retries", tenant=lease.tenant)
                 self._record("retry_scheduled", key=lease.key,
                              tenant=lease.tenant,
                              attempt=execution.attempt,
@@ -379,9 +362,7 @@ class RecastService:
             )
             primary = self.api.get_request(execution.request_ids[0])
             primary.transition(RequestStatus.LEASED, lease.lease_id)
-            self._metrics.counter("service.leases_granted",
-                                  tenant=entry.tenant).inc()
-            self._telemetry.event("service.leases", tenant=entry.tenant)
+            self._count("service.leases", tenant=entry.tenant)
             self._telemetry.observe("service.wait_time",
                                     now - execution.enqueued_at,
                                     tenant=entry.tenant)
@@ -420,7 +401,7 @@ class RecastService:
         """Pass one outcome through the exactly-once gate."""
         lease = self.leases.settle(outcome.key, outcome.attempt)
         if lease is None:
-            self._metrics.counter("service.stale_outcomes").inc()
+            self._count("service.stale_outcomes")
             self._record("stale_drop", key=outcome.key,
                          attempt=outcome.attempt)
             return 0
@@ -438,10 +419,7 @@ class RecastService:
                     RequestStatus.PENDING_APPROVAL,
                     f"shared result of {primary.request_id}"
                 )
-            self._metrics.counter("service.commits",
-                                  tenant=execution.tenant).inc()
-            self._telemetry.event("service.commits",
-                                  tenant=execution.tenant)
+            self._count("service.commits", tenant=execution.tenant)
             self._telemetry.observe(
                 "service.backend_seconds",
                 self.clock.now() - lease.granted_at,
@@ -455,10 +433,7 @@ class RecastService:
             primary.failure_reason = outcome.error
             primary.transition(RequestStatus.FAILED, outcome.error)
             self._fail_subscribers(execution, outcome.error)
-            self._metrics.counter("service.backend_failures",
-                                  tenant=execution.tenant).inc()
-            self._telemetry.event("service.backend_failures",
-                                  tenant=execution.tenant)
+            self._count("service.backend_failures", tenant=execution.tenant)
             self._finish(execution, "failed", reason=outcome.error)
         return 1
 
@@ -479,20 +454,23 @@ class RecastService:
                      attempt=execution.attempt,
                      request_id=execution.request_ids[0], **payload)
 
-    def _update_depth_gauges(self) -> None:
-        for tenant, depth in self.queue.depths().items():
-            self._metrics.gauge("service.queue_depth",
-                                tenant=tenant).set(depth)
-        self._metrics.gauge("service.inflight").set(len(self.leases))
+    def _count(self, name: str, **labels) -> None:
+        """Record one service event: its run total and its window."""
+        self._metrics.counter(name, **labels).inc()
+        self._telemetry.event(name, **labels)
 
-    def _sample_depth_series(self, now: float) -> None:
-        """One windowed depth sample per registered tenant per round."""
+    def _sample(self, name: str, value: float, **labels) -> None:
+        """Record one reading: the gauge and its windowed series."""
+        self._metrics.gauge(name, **labels).set(value)
+        self._telemetry.observe(name, value, **labels)
+
+    def _sample_depths(self) -> None:
+        """One depth reading per registered tenant per round."""
         depths = self.queue.depths()
         for tenant in sorted(depths):
-            self._telemetry.observe("service.queue_depth",
-                                    depths[tenant], tenant=tenant)
-        self._telemetry.observe("service.inflight",
-                                float(len(self.leases)))
+            self._sample("service.queue_depth", depths[tenant],
+                         tenant=tenant)
+        self._sample("service.inflight", len(self.leases))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -23,8 +23,7 @@ class TestBaselineFiles:
     def test_all_expected_baselines_present(self):
         names = [path.name for path in BASELINES]
         for expected in ("BENCH_parallel.json", "BENCH_lint.json",
-                         "BENCH_obs.json", "BENCH_columnar.json",
-                         "BENCH_service.json"):
+                         "BENCH_obs.json", "BENCH_columnar.json"):
             assert expected in names
 
     @pytest.mark.parametrize("path", BASELINES,
@@ -59,20 +58,6 @@ class TestBaselineFiles:
         assert det["byte_identical"] is True
         assert det["files_per_second"] > 0
         assert det["n_findings"] == 0
-
-    def test_service_baseline_claims_its_properties(self):
-        # The service baseline must carry the three claims the
-        # subsystem makes: it moves requests, it shares work, and its
-        # scheduling replays byte-identically.
-        path = REPO_ROOT / "BENCH_service.json"
-        record = json.loads(path.read_text(encoding="utf-8"))
-        throughput = record["workloads"]["throughput"]
-        assert throughput["requests_per_second"] > 0
-        assert throughput["n_committed"] == throughput["n_requests"]
-        dedup = record["workloads"]["dedup"]
-        assert 0.0 <= dedup["hit_rate"] <= 1.0
-        assert dedup["n_backend_executions"] < dedup["n_submissions"]
-        assert record["workloads"]["replay"]["byte_identical"] is True
 
     def test_obs_baseline_judges_overhead_honestly(self):
         # Every overhead record must say whether the host was quiet

@@ -396,3 +396,142 @@ class TestDatasetDamage:
         index = int(position * len(data))
         _read(_read_dataset, tmp_path / "doc.jsonl",
               data[:index] + bytes([byte]) + data[index:])
+
+
+#: One valid record per tier a command decodes, with every field set.
+_EVENT_RECORDS = {
+    DataTier.GEN: {
+        "event_number": 0, "process_id": 1, "process_name": "z_to_mumu",
+        "sqrt_s": 13000.0, "weight": 1.0,
+        "particles": [
+            {"index": 0, "pdg_id": 23, "status": 2,
+             "p4": [133.7, 8.0, -6.6, 97.4], "parents": [],
+             "children": [1, 2], "decay_vtx": [0.0, 0.0, 0.0]},
+            {"index": 1, "pdg_id": 13, "status": 1,
+             "p4": [94.9, -25.5, -23.7, 88.3], "parents": [0],
+             "children": [], "prod_vtx": [0.0, 0.0, 0.0]},
+            {"index": 2, "pdg_id": -13, "status": 1,
+             "p4": [38.7, 33.5, 17.1, 9.1], "parents": [0],
+             "children": []},
+        ],
+    },
+    DataTier.AOD: {
+        "run": 42, "event": 0,
+        "electrons": [{"p4": [50.0, 30.0, 20.0, 33.0], "q": -1,
+                       "eop": 1.0, "iso": 0.05}],
+        "muons": [{"p4": [37.9, 32.8, 16.8, 8.9], "q": 1,
+                   "stations": 3, "iso": 0.0}],
+        "photons": [{"p4": [20.0, 0.0, 20.0, 0.0]}],
+        "jets": [{"p4": [80.0, -60.0, 10.0, 40.0], "ncon": 7,
+                  "emf": 0.3}],
+        "met": {"met": 38.4, "phi": -2.65},
+        "triggers": ["HLT_SingleMu20"], "ntracks": 2,
+    },
+    DataTier.LEVEL2: {
+        "run": 42, "event": 0, "collision_energy_tev": 8.0,
+        "particles": [
+            {"type": "muon", "E": 37.9, "pt": 36.9, "eta": 0.24,
+             "phi": 0.47, "charge": 1},
+            {"type": "jet", "E": 80.0, "pt": 60.8, "eta": 0.6,
+             "phi": 2.97, "charge": 0},
+        ],
+        "met": {"value": 38.4, "phi": -2.65},
+    },
+}
+
+
+def _without(document, path):
+    """A copy of ``document`` with the key at ``path`` removed."""
+    record = json.loads(json.dumps(document))
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    return record
+
+
+def _event_commands(tier, src: str, tmp_path) -> list[list[str]]:
+    """Every command that decodes ``tier`` records, reading ``src``."""
+    out = str(tmp_path / "out")
+    if tier == DataTier.GEN:
+        return [["process", "--input", src, "--output", out]]
+    if tier == DataTier.AOD:
+        spec = tmp_path / "skim.json"
+        spec.write_text(json.dumps({
+            "name": "mu", "cut": {"kind": "count", "collection": "muons",
+                                  "min_count": 1, "min_pt": 10.0}}))
+        return [["convert-level2", "--input", src, "--output", out],
+                ["skim", "--input", src, "--spec", str(spec),
+                 "--output", out]]
+    return [["display", "--input", src],
+            ["display", "--input", src, "--svg", out]]
+
+
+_WRONG_TYPES = (None, True, [], {}, "x", 1.5, float("nan"),
+                float("inf"))
+
+
+def _run_on_record(tier, record, tmp_path, capsys) -> None:
+    """Every command of ``tier`` on a one-record file: exit 0, or
+    exit 2 naming the record's ``path:line``."""
+    path = tmp_path / "events.jsonl"
+    write_dataset(path, "robust", tier, [_EVENT_RECORDS[tier]])
+    header = path.read_bytes().partition(b"\n")[0]
+    path.write_bytes(header + b"\n" + json.dumps(record).encode() + b"\n")
+    for argv in _event_commands(tier, str(path), tmp_path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, record)
+        if code == 2:
+            assert "events.jsonl:2: " in err, (argv, record, err)
+
+
+@pytest.mark.parametrize("tier", sorted(_EVENT_RECORDS,
+                                        key=lambda tier: tier.value),
+                         ids=lambda tier: tier.value)
+class TestEventRecordDamage:
+    """A damaged event record exits 2 naming ``path:line``, in every
+    command that decodes its tier, never with a traceback."""
+
+    def test_valid_record_decodes(self, tier, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        write_dataset(path, "robust", tier, [_EVENT_RECORDS[tier]])
+        for argv in _event_commands(tier, str(path), tmp_path):
+            assert main(argv) == 0, capsys.readouterr().err
+
+    def test_every_field_with_a_wrong_type(self, tier, tmp_path,
+                                           capsys):
+        valid = _EVENT_RECORDS[tier]
+        for path in _field_paths(valid):
+            for value in _WRONG_TYPES:
+                _run_on_record(tier, _with_value(valid, path, value),
+                               tmp_path, capsys)
+
+    def test_every_missing_field(self, tier, tmp_path, capsys):
+        valid = _EVENT_RECORDS[tier]
+        for path in _field_paths(valid):
+            if path and isinstance(path[-1], str):
+                _run_on_record(tier, _without(valid, path), tmp_path,
+                               capsys)
+
+
+_AOD, _LEVEL2 = _EVENT_RECORDS[DataTier.AOD], _EVENT_RECORDS[DataTier.LEVEL2]
+
+
+@pytest.mark.parametrize("command, tier, record", [
+    ("display", DataTier.LEVEL2, _with_value(_LEVEL2, ("met",), 5)),
+    ("convert-level2", DataTier.AOD, _with_value(_AOD, ("muons",), 3)),
+    ("skim", DataTier.AOD, _with_value(_AOD, ("muons",), 3)),
+    ("display", DataTier.LEVEL2,
+     _without(_LEVEL2, ("particles", 0, "E"))),
+], ids=["level2-met-int", "aod-muons-int-convert", "aod-muons-int-skim",
+        "particle-without-E"])
+def test_damaged_record_exits_2_naming_path_and_line(
+        command, tier, record, tmp_path, capsys):
+    target = tmp_path / "events.jsonl"
+    write_dataset(target, "robust", tier, [_EVENT_RECORDS[tier], record])
+    argv = next(argv for argv in _event_commands(tier, str(target),
+                                                 tmp_path)
+                if argv[0] == command)
+    assert main(argv) == 2
+    assert "events.jsonl:3: malformed" in capsys.readouterr().err

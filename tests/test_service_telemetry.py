@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.obs.metrics import MetricsRegistry
 from repro.recast import ModelSpec
 from repro.runtime import ExecutionPolicy
@@ -110,7 +112,7 @@ class TestSchedulerWiring:
         service.submit("t", "GPD-EXO-01", model(1600.0))
         service.run_until_idle()
         snapshot = finished_snapshot(service)
-        assert count(series(snapshot, "service.admission_rejections",
+        assert count(series(snapshot, "service.quota_rejections",
                             tenant="t")) == 1
 
     def test_crash_recovery_emits_expiry_and_retry_series(self):
@@ -140,6 +142,87 @@ class TestSchedulerWiring:
         assert service.telemetry.n_observations == 0
         assert finished_snapshot(service)["series"] == []
         assert ticket.status == "queued"
+
+
+def series_key(entry):
+    return entry["name"], tuple(sorted(entry["labels"].items()))
+
+
+#: Telemetry-only distributions; every other service series is a
+#: counter or gauge of the run report under the same name.
+DISTRIBUTIONS = {"service.wait_time", "service.backend_seconds"}
+
+POLICIES = {"serial": ExecutionPolicy.serial(),
+            "thread": ExecutionPolicy(mode="thread", n_jobs=2)}
+
+
+def demo_run(policy):
+    service, _ = run_script(demo_api(n_events=30, n_limit_toys=150),
+                            demo_script(), policy=policy)
+    return service
+
+
+def crash_run(policy):
+    api, service = make_service(policy=policy)
+    api._backends["GPD"] = CrashingBackend(
+        inner=api._backends["GPD"], crash_times=1,
+        name="GPD-full-chain")
+    service.register_tenant("t")
+    service.register_tenant("u")
+    service.submit("t", "GPD-EXO-01", model(1500.0))
+    service.submit("u", "GPD-EXO-01", model(1600.0))
+    service.submit("u", "GPD-EXO-01", model(1500.0))
+    service.run_until_idle()
+    service.telemetry.flush(final=True)
+    return service
+
+
+def quota_bounce_run(policy):
+    _, service = make_service(policy=policy)
+    service.register_tenant("t", TenantQuota(max_queued=1))
+    for mass in (1500.0, 1600.0, 1700.0):
+        service.submit("t", "GPD-EXO-01", model(mass))
+    service.run_until_idle()
+    service.submit("t", "GPD-EXO-01", model(1500.0))
+    service.telemetry.flush(final=True)
+    return service
+
+
+class TestOneVocabulary:
+    """The run report and the telemetry snapshot name every service
+    event alike: each ``service.*`` counter equals the window count of
+    its series, and each gauge has its series."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("scenario", [demo_run, crash_run,
+                                          quota_bounce_run],
+                             ids=["demo", "crash", "quota_bounce"])
+    def test_counters_and_windows_agree(self, scenario, policy):
+        service = scenario(POLICIES[policy])
+        windows = {series_key(entry): count(entry)
+                   for entry in service.telemetry.snapshot()["series"]}
+        metrics = service.metrics.snapshot()
+        counters = {series_key(c): c["value"]
+                    for c in metrics["counters"]
+                    if c["name"].startswith("service.")}
+        gauges = {series_key(g) for g in metrics["gauges"]
+                  if g["name"].startswith("service.")}
+        assert counters and gauges
+        for key, value in counters.items():
+            assert windows.get(key) == value, key
+        assert gauges <= set(windows)
+        events = {key for key in windows if key[0] not in DISTRIBUTIONS}
+        assert events == set(counters) | gauges
+
+    def test_scenarios_reach_the_renamed_events(self):
+        names = set()
+        for scenario in (demo_run, crash_run, quota_bounce_run):
+            snapshot = scenario(ExecutionPolicy.serial()).metrics.snapshot()
+            names |= {c["name"] for c in snapshot["counters"]}
+        assert {"service.quota_rejections", "service.leases",
+                "service.lease_expiries", "service.lease_retries",
+                "service.admissions", "service.cache_hits",
+                "service.dedup_hits"} <= names
 
 
 class TestScriptReplay:
