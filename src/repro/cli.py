@@ -198,11 +198,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            "parallel-safety (--par) and determinism "
                            "(--det) passes")
     lint.add_argument("--par", action="store_true",
-                      help="also run the parallel/columnar safety "
-                           "pass: escape analysis over pool workers, "
-                           "RNG-stream discipline, numpy in-place/"
-                           "aliasing checks, and equivalence-tier "
-                           "order-sensitivity (DAS3xx rules)")
+                      help="also run the parallel-safety pass: "
+                           "escape analysis over pool workers, "
+                           "RNG-stream discipline, and in-place/"
+                           "aliasing and order-sensitivity checks of "
+                           "@equivalence_tier kernels (DAS3xx rules)")
     lint.add_argument("--det", action="store_true",
                       help="also run the determinism/replay-safety "
                            "pass: escape analysis from declared "
@@ -625,8 +625,9 @@ def _cmd_lint(args) -> int:
         raise ReproError(
             "lint needs at least one target path (or --bundled)"
         )
-    import time
+    from repro.runtime.clock import MonotonicClock
 
+    clock = MonotonicClock()
     config = LintConfig(select=tuple(args.select),
                         ignore=tuple(args.ignore),
                         suppressions=_parse_suppressions(args.suppress))
@@ -641,7 +642,7 @@ def _cmd_lint(args) -> int:
     def lint_target(label: str, shallow, tree) -> None:
         """One target, each pass under a span; one graph for ``tree``."""
         with session.obs.span("lint.target", target=label) as span:
-            started = time.monotonic()
+            started = clock.now()
             before = len(session.report().findings)
             with session.obs.span("lint.shallow"):
                 session.extend(shallow())
@@ -655,7 +656,7 @@ def _cmd_lint(args) -> int:
                      len(session.report().findings) - before)
         if obs_metrics is not None:
             obs_metrics.histogram("lint.target_seconds").observe(
-                time.monotonic() - started)
+                clock.now() - started)
 
     with session.obs.span("lint.run", n_targets=len(args.targets),
                           bundled=bool(args.bundled)):

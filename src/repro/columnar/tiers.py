@@ -1,9 +1,8 @@
 """The equivalence-tier declaration registry.
 
-Every columnar kernel — and every worker the runtime fans out — owes
-its callers a statement of *how equivalent* its output is to the
-scalar/serial path it replaces. The columnar engine's contract
-(:mod:`repro.columnar`) names three tiers:
+Every kernel that replaces part of the scalar, serial chain, and every
+worker the runtime fans out, owes its callers a statement of *how
+equivalent* its output is to that chain's. There are three tiers:
 
 ``exact``
     bit-identical to the scalar path for every input;
@@ -16,13 +15,12 @@ scalar/serial path it replaces. The columnar engine's contract
 
 :func:`equivalence_tier` declares a function's tier. The declaration
 is doubly visible: at runtime through :func:`declared_tier` /
-:func:`declared_tiers` (the equivalence test suites pick the right
-comparison per tier), and *statically* — the decorator literally names
-the tier at the definition site, which is what the ``repro.lint.par``
-order-sensitivity rules (DAS308, DAS310–DAS312) check kernels against.
-An ``exact``-tier function that draws random numbers or accumulates
-floats in a chunking-dependent order is claiming an equivalence it
-cannot deliver, and the analyzer says so.
+:func:`declared_tiers`, and *statically* — the decorator literally
+names the tier at the definition site, which is what the
+``repro.lint.par`` order-sensitivity rules (DAS308, DAS310–DAS312)
+check kernels against. An ``exact``-tier function that draws random
+numbers or accumulates floats in a chunking-dependent order is
+claiming an equivalence it cannot deliver, and the analyzer says so.
 """
 
 from __future__ import annotations

@@ -28,23 +28,60 @@ damaged file surfaces as a typed error that names it.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import PreservationError, ReproError
 
 #: The compact separator pair every digestable encoding uses.
 CANONICAL_SEPARATORS = (",", ":")
 
 
+def _non_finite(value, where: str = "$"):
+    """``(where, number)`` of the first NaN or infinity in ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return where, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple))
+             else ())
+    for key, child in items:
+        found = _non_finite(child, f"{where}[{key!r}]")
+        if found:
+            return found
+    return None
+
+
+def _dumps(payload, **layout) -> str:
+    """``json.dumps`` with sorted keys and no NaN/Infinity tokens.
+
+    JSON has no spelling for a non-finite number; the tokens Python
+    would write instead are refused by strict readers, so a payload
+    holding one raises :class:`PreservationError` naming where.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False,
+                          **layout)
+    except ValueError as exc:
+        # Only the NaN refusal is searched for; a circular payload
+        # would send the search round its cycle.
+        found = (_non_finite(payload)
+                 if str(exc).startswith("Out of range float") else None)
+        if found is None:
+            raise
+        raise PreservationError(
+            f"cannot encode non-finite number {found[1]!r} at "
+            f"{found[0]}: JSON has no NaN or Infinity") from None
+
+
 def canonical_json(payload) -> bytes:
     """Compact deterministic encoding used for digests and logs."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=CANONICAL_SEPARATORS).encode("utf-8")
+    return _dumps(payload,
+                  separators=CANONICAL_SEPARATORS).encode("utf-8")
 
 
 def canonical_text(payload, *, indent: int | None = 1) -> str:
     """Readable deterministic encoding: sorted keys, fixed indent."""
-    return json.dumps(payload, indent=indent, sort_keys=True)
+    return _dumps(payload, indent=indent)
 
 
 def canonical_document(payload, *, indent: int = 1) -> bytes:

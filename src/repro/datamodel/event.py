@@ -43,8 +43,8 @@ class AODEvent:
         Ties are broken deterministically by flavour (electrons before
         muons) and then stored order — an *explicit* secondary key, so
         the ordering is part of the preserved selection semantics
-        rather than an accident of sort stability, and the columnar
-        engine can reproduce it with ``np.lexsort``.
+        rather than an accident of sort stability: a mass-window cut
+        on the leading pair, and so every archived skim, depends on it.
         """
         return sorted(self.electrons + self.muons,
                       key=lambda lepton: (-lepton.p4.pt,

@@ -17,7 +17,7 @@ from pathlib import Path
 from repro.core.canonical import canonical_json, parse_record
 from repro.datamodel.schema import field_documentation, validate_record
 from repro.datamodel.tiers import DataTier
-from repro.errors import PersistenceError, SchemaError
+from repro.errors import PersistenceError, PreservationError, SchemaError
 
 _FORMAT_TAG = "repro-dataset"
 _FORMAT_VERSION = "1.0"
@@ -104,14 +104,18 @@ class DatasetWriter:
         if self._closed:
             return
         self.header.n_events = len(self._records)
+        # Encode every line first: a record that cannot be encoded is
+        # named by its line and leaves no half-written file behind.
+        lines = [canonical_json(self.header.to_dict())]
+        for line_number, record in enumerate(self._records, start=2):
+            try:
+                lines.append(canonical_json(record))
+            except PreservationError as exc:
+                raise PreservationError(
+                    f"{self.path}:{line_number}: {exc}") from None
         try:
-            with self.path.open("w", encoding="utf-8") as handle:
-                handle.write(
-                    canonical_json(self.header.to_dict()).decode("utf-8")
-                    + "\n")
-                for record in self._records:
-                    handle.write(
-                        canonical_json(record).decode("utf-8") + "\n")
+            with self.path.open("wb") as handle:
+                handle.write(b"\n".join(lines) + b"\n")
         except OSError as exc:
             raise PersistenceError(
                 f"cannot write dataset {self.path}: {exc}"

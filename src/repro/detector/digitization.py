@@ -348,14 +348,10 @@ class Digitizer:
 
     def digitize_many_batch(
             self, sim_events: list[SimulatedEvent]) -> list[RawEvent]:
-        """Columnar twin of :meth:`digitize_many`: random draws are
-        batched per phase (see :mod:`repro.columnar.kernels`), so output
-        is statistically — not bitwise — equivalent to the scalar path.
-        Advances the bunch-crossing counter exactly as the scalar loop.
-        """
-        from repro.columnar.kernels import digitize_batch
-
-        return digitize_batch(self, sim_events)
+        """Digitise a list of simulated events serially: one call to
+        :meth:`digitize_many`. The name stays public because
+        ``perfbench/layers.py`` traces it."""
+        return self.digitize_many(sim_events)
 
     def describe(self) -> dict:
         """Provenance description of the digitiser configuration."""

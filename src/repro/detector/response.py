@@ -37,8 +37,8 @@ class CaloResponse:
     def relative_resolution(self, energy: float) -> float:
         """Fractional resolution sigma(E)/E at the given energy.
 
-        sqrt-of-squares rather than ``hypot`` so :meth:`smear_array`
-        computes the bit-identical sigma.
+        sqrt-of-squares rather than ``hypot``: the two can differ in
+        the last ulp, and the archived simulation bytes depend on it.
         """
         if energy <= 0.0:
             return 0.0
@@ -53,29 +53,6 @@ class CaloResponse:
         sigma = self.relative_resolution(energy) * energy
         measured = self.energy_scale * (energy + rng.normal(0.0, sigma))
         return max(0.0, measured)
-
-    def smear_array(self, energies, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised :meth:`smear` over an array of true energies.
-
-        Bit-identical to the scalar loop ``[smear(e, rng) for e in
-        energies]`` on the same generator: non-positive energies draw
-        nothing (as in the scalar path), and a single vectorised
-        ``rng.normal(0.0, sigma)`` call consumes the generator stream
-        exactly as the per-deposit scalar draws would.
-        """
-        energies = np.asarray(energies, dtype=np.float64)
-        measured = np.zeros_like(energies)
-        positive = energies > 0.0
-        if np.any(positive):
-            energy = energies[positive]
-            stochastic = self.stochastic_term / np.sqrt(energy)
-            sigma = np.sqrt(
-                stochastic * stochastic
-                + self.constant_term * self.constant_term
-            ) * energy
-            smeared = self.energy_scale * (energy + rng.normal(0.0, sigma))
-            measured[positive] = np.maximum(0.0, smeared)
-        return measured
 
 
 @dataclass(frozen=True)
@@ -94,8 +71,9 @@ class TrackerResponse:
     def relative_resolution(self, pt: float) -> float:
         """Fractional pt resolution at the given transverse momentum.
 
-        sqrt-of-squares rather than ``hypot`` so :meth:`smear_pt_array`
-        computes the bit-identical sigma.
+        sqrt-of-squares rather than ``hypot``: the two can differ in
+        the last ulp, so a switch would change the bytes of any smeared
+        output.
         """
         curvature = self.curvature_term * pt
         return math.sqrt(curvature * curvature
@@ -105,15 +83,6 @@ class TrackerResponse:
         """Sample a measured pt for a true transverse momentum."""
         sigma = self.relative_resolution(pt) * pt
         return max(0.01, pt + rng.normal(0.0, sigma))
-
-    def smear_pt_array(self, pts, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised :meth:`smear_pt`; bit-identical to the scalar loop
-        on the same generator (one draw per pt, in order)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        curvature = self.curvature_term * pts
-        sigma = np.sqrt(curvature * curvature
-                        + self.ms_term * self.ms_term) * pts
-        return np.maximum(0.01, pts + rng.normal(0.0, sigma))
 
 
 @dataclass(frozen=True)
@@ -142,28 +111,6 @@ class EfficiencyCurve:
             1.0 + math.exp(-(pt - self.threshold) / self.width)
         )
 
-    def value_array(self, pts) -> np.ndarray:
-        """Vectorised :meth:`value` (``np.exp`` may differ from libm's
-        ``exp`` in the last ulp; see :meth:`passes_array`)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return self.plateau / (
-            1.0 + np.exp(-(pts - self.threshold) / self.width)
-        )
-
     def passes(self, pt: float, rng: np.random.Generator) -> bool:
         """Sample a pass/fail decision at the given pt."""
         return bool(rng.random() < self.value(pt))
-
-    def passes_array(self, pts, rng: np.random.Generator) -> np.ndarray:
-        """Vectorised :meth:`passes` over an array of pts.
-
-        Consumes the generator stream exactly as the scalar loop does:
-        ``uniform(size=n)`` is ``n`` ``random()`` doubles in order, the
-        same draws :meth:`passes` makes one pt at a time. The decision
-        is identical unless a draw lands within one ulp of the
-        efficiency value — where ``np.exp`` and libm's ``exp`` can
-        differ — which the equivalence suite treats as the documented
-        tolerance of this kernel.
-        """
-        pts = np.asarray(pts, dtype=np.float64)
-        return rng.uniform(size=len(pts)) < self.value_array(pts)

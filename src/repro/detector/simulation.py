@@ -271,13 +271,10 @@ class DetectorSimulation:
 
     def simulate_many_batch(self,
                             events: list[GenEvent]) -> list[SimulatedEvent]:
-        """Columnar twin of :meth:`simulate_many`: random draws are
-        batched per phase (see :mod:`repro.columnar.kernels`), so output
-        is statistically — not bitwise — equivalent to the scalar path.
-        """
-        from repro.columnar.kernels import simulate_batch
-
-        return simulate_batch(self, events)
+        """Simulate a list of events serially: one call to
+        :meth:`simulate_many`. The name stays public because
+        ``perfbench/layers.py`` traces it."""
+        return self.simulate_many(events)
 
     def describe(self) -> dict:
         """Provenance description of the simulation configuration."""

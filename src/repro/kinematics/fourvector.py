@@ -21,6 +21,14 @@ from repro.errors import KinematicsError
 _TWO_PI = 2.0 * math.pi
 
 
+def finite(value) -> float:
+    """``float(value)``; NaN and infinities are not measurements."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise KinematicsError(f"non-finite value {number!r}")
+    return number
+
+
 def wrap_phi(phi: float) -> float:
     """Wrap an azimuthal angle into the interval (-pi, pi]."""
     wrapped = math.fmod(phi, _TWO_PI)
@@ -98,10 +106,9 @@ class FourVector:
     def pt(self) -> float:
         """Transverse momentum.
 
-        Written as ``sqrt(px*px + py*py)`` rather than ``hypot`` so the
-        columnar :class:`~repro.columnar.FourVectorArray` twin computes
-        the bit-identical value (libm's ``hypot`` and numpy's disagree
-        in the last ulp; plain sqrt-of-squares does not).
+        Written as ``sqrt(px*px + py*py)`` rather than ``hypot``: the
+        two can disagree in the last ulp, and every archived output
+        that carries a pt was written with this form.
         """
         return math.sqrt(self.px * self.px + self.py * self.py)
 
@@ -152,9 +159,8 @@ class FourVector:
         """Invariant mass squared (may be slightly negative numerically).
 
         Explicit products, not ``**2``: CPython's float power is not
-        guaranteed to equal multiplication in the last bit, while
-        numpy's ``x**2`` is — the product form is what keeps the
-        columnar twin bit-identical.
+        guaranteed to equal multiplication in the last bit, and the
+        archived masses were written with the product form.
         """
         return (self.e * self.e - self.px * self.px
                 - self.py * self.py - self.pz * self.pz)
@@ -296,12 +302,12 @@ class FourVector:
 
     @classmethod
     def from_list(cls, values: list[float]) -> "FourVector":
-        """Inverse of :meth:`to_list`."""
+        """Inverse of :meth:`to_list`; every component must be finite."""
         if len(values) != 4:
             raise KinematicsError(
                 f"four-vector list must have 4 entries, got {len(values)}"
             )
-        return cls(*(float(v) for v in values))
+        return cls(*(finite(v) for v in values))
 
     def is_close(self, other: "FourVector", rel_tol: float = 1e-9,
                  abs_tol: float = 1e-12) -> bool:

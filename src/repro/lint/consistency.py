@@ -9,12 +9,12 @@ the library defines — without executing any preserved processing.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
 from repro.conditions.iov import INFINITE_RUN
+from repro.core.canonical import load_json_document
 from repro.datamodel.schema import field_documentation
-from repro.errors import InterviewError
+from repro.errors import InterviewError, PreservationError
 from repro.datamodel.skimslim import available_derived_columns
 from repro.datamodel.tiers import DataTier
 from repro.interview.sharing import DataSharingGrid
@@ -350,17 +350,44 @@ def _is_dataset_kind(kind: str) -> bool:
     return kind == "dataset" or kind.endswith("_dataset")
 
 
+def _catalogue_shape(record) -> dict:
+    """``record`` if every field the lint reads has the right type."""
+    entries = record.get("entries", []) if isinstance(record, dict) else 0
+    if not isinstance(entries, list):
+        raise TypeError("not an object with an 'entries' list")
+    for entry in entries:
+        metadata = entry.get("metadata", {}) \
+            if isinstance(entry, dict) else 0
+        if not (isinstance(metadata, dict) and all(
+                isinstance(metadata.get(key, {}), dict)
+                for key in ("technical", "provenance"))):
+            raise TypeError("an entry is not an object with object "
+                            "metadata")
+    return record
+
+
+def read_archive_catalogue(directory: Path) -> tuple[dict, str]:
+    """``(catalogue, error)`` of a saved archive directory.
+
+    Unreadable bytes, bad JSON and a catalogue of the wrong shape come
+    back as an ``archive catalogue unreadable`` message, never raised.
+    """
+    try:
+        return load_json_document(directory / "catalogue.json",
+                                  _catalogue_shape, PreservationError,
+                                  "archive catalogue"), ""
+    except PreservationError as exc:
+        return {}, f"archive catalogue unreadable: {exc}"
+
+
 def lint_archive_directory(directory: str | Path) -> list[Finding]:
     """DAS108/DAS109/DAS113 over a saved archive directory."""
     directory = Path(directory)
     catalogue_path = directory / "catalogue.json"
-    try:
-        catalogue = json.loads(
-            catalogue_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    catalogue, error = read_archive_catalogue(directory)
+    if error:
         return [RULE_ARCHIVE_FIXITY.finding(
-            f"archive catalogue unreadable: {exc}",
-            artifact=str(directory), file=str(catalogue_path),
+            error, artifact=str(directory), file=str(catalogue_path),
         )]
     name = str(catalogue.get("name", directory.name))
     blobs_dir = directory / "blobs"

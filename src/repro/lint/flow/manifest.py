@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.core.canonical import canonical_document
 from repro.errors import PreservationError
+from repro.lint.consistency import read_archive_catalogue
 from repro.lint.findings import Finding
 from repro.lint.flow.rules import (
     RULE_CLOSURE_NO_REFERENCE,
@@ -137,12 +138,9 @@ def _read_archive_holdings(directory: Path) -> tuple[dict, set, str]:
     yields partial holdings, never an exception, so every missing
     member is reported as the finding it is.
     """
-    catalogue_path = directory / "catalogue.json"
-    try:
-        catalogue = json.loads(
-            catalogue_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return {}, set(), f"archive catalogue unreadable: {exc}"
+    catalogue, error = read_archive_catalogue(directory)
+    if error:
+        return {}, set(), error
     modules: dict[str, str] = {}
     tags: set[str] = set()
     blobs = directory / "blobs"

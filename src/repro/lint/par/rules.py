@@ -5,8 +5,8 @@ inspect one statement, ``DAS2xx`` rules carry impurity facts to
 ``Analysis`` entry points; these rules reason about the *parallel
 execution contract*: every callable statically reachable as a worker
 of a registered dispatch point (:mod:`repro.runtime.workers`) must be
-a pure function of its declared inputs, every columnar kernel must
-honour the equivalence tier it declares
+a pure function of its declared inputs, every ``@equivalence_tier``
+kernel must honour the tier it declares
 (:mod:`repro.columnar.tiers`), and no numpy kernel may mutate or
 alias caller-owned buffers.
 

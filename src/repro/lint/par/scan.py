@@ -1,4 +1,4 @@
-"""Per-module extraction of parallel/columnar safety facts.
+"""Per-module extraction of parallel and kernel-tier safety facts.
 
 The flow layer's call graph answers *who calls whom*; this scan
 answers *what each function does that a pool must care about*: writes
@@ -28,7 +28,7 @@ _RNG_CONSTRUCTORS = {"default_rng", "Random", "RandomState", "Generator",
                      "PCG64", "Philox", "SeedSequence"}
 
 #: Callables whose presence in a seed expression marks it as derived.
-_SEED_DERIVERS = {"derive_seed", "batch_stream", "spawn"}
+_SEED_DERIVERS = {"derive_seed", "spawn"}
 
 #: Method names that draw from (i.e. advance) a random stream.
 _RNG_DRAW_METHODS = {

@@ -9,9 +9,10 @@ them) go through the AST checker.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from repro.core.canonical import load_json_document
+from repro.errors import PreservationError
 from repro.lint.consistency import (
     lint_archive_directory,
     lint_bundle,
@@ -102,8 +103,9 @@ def lint_path(path: str | Path) -> list[Finding]:
 
 def _lint_json_file(path: Path) -> list[Finding]:
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        record = load_json_document(path, lambda record: record,
+                                    PreservationError, "document")
+    except PreservationError as exc:
         return [get_rule("DAS010").finding(
             f"document unreadable: {exc}", file=str(path),
         )]

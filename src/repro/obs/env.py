@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 import platform
-import time
 
 from repro.errors import ObservabilityError
+from repro.runtime.clock import wall_timestamp
 
 #: Schema identity of the shared benchmark envelope.
 BENCH_FORMAT = "repro-bench-report"
@@ -41,8 +41,7 @@ def capture_environment(*, deterministic: bool = False) -> dict:
         "system": platform.system(),
         "host": platform.node(),
         "cpu_count": os.cpu_count() or 1,
-        "started_at": ("" if deterministic
-                       else time.strftime("%Y-%m-%dT%H:%M:%S%z")),
+        "started_at": "" if deterministic else wall_timestamp(),
     }
 
 

@@ -15,17 +15,57 @@ from dataclasses import dataclass, field
 
 from repro.errors import OutreachError
 from repro.kinematics import FourVector
+from repro.kinematics.fourvector import finite
 
 #: Particle types the simplified format recognises.
 PARTICLE_TYPES = ("electron", "muon", "photon", "jet")
 
 
-def _finite(value) -> float:
-    """``float(value)``; NaN and infinities are not measurements."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise OutreachError(f"non-finite value {number!r}")
-    return number
+def _number(value) -> None:
+    """Refuse anything but a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+
+
+def _objects(payload: dict, key: str) -> list[dict]:
+    """``payload[key]`` (default empty), checked as a list of objects."""
+    items = payload.get(key, [])
+    if not isinstance(items, list) \
+            or not all(isinstance(item, dict) for item in items):
+        raise TypeError(f"display {key!r} is not a list of objects")
+    return items
+
+
+def _display_payload(payload) -> dict:
+    """A copy of an embedded display payload, after checking that every
+    field the display renderers read has its documented type; a wrong
+    one raises ``TypeError``/``ValueError``, which the dataset reader
+    reports as a malformed record."""
+    if not isinstance(payload, dict):
+        raise TypeError("display payload is not an object")
+    for track in _objects(payload, "tracks"):
+        int(track.get("charge", 0))
+        points = track.get("points", [])
+        if not isinstance(points, list) or not all(
+                isinstance(point, list) and len(point) == 2
+                for point in points):
+            raise TypeError("track points are not [x, y] pairs")
+        for point in points:
+            for value in point:
+                _number(value)
+    for tower in _objects(payload, "towers"):
+        if not isinstance(tower["kind"], str):
+            raise TypeError("tower kind is not a string")
+        for key in ("eta", "phi", "energy"):
+            _number(tower[key])
+    met = payload.get("met", {})
+    if not isinstance(met, dict):
+        raise TypeError("display met is not an object")
+    for key in ("value", "phi"):
+        if key in met:
+            _number(met[key])
+    return dict(payload)
 
 
 @dataclass(frozen=True)
@@ -67,10 +107,10 @@ class SimplifiedParticle:
         """Inverse of :meth:`to_dict`."""
         return cls(
             particle_type=str(record["type"]),
-            energy=_finite(record["E"]),
-            pt=_finite(record["pt"]),
-            eta=_finite(record["eta"]),
-            phi=_finite(record["phi"]),
+            energy=finite(record["E"]),
+            pt=finite(record["pt"]),
+            eta=finite(record["eta"]),
+            phi=finite(record["phi"]),
             charge=int(record.get("charge", 0)),
         )
 
@@ -140,15 +180,15 @@ class Level2Event:
         return cls(
             run_number=int(record["run"]),
             event_number=int(record["event"]),
-            collision_energy_tev=_finite(
+            collision_energy_tev=finite(
                 record.get("collision_energy_tev", 0.0)
             ),
             particles=[SimplifiedParticle.from_dict(p)
                        for p in record.get("particles", [])],
-            met=_finite(met.get("value", 0.0)),
-            met_phi=_finite(met.get("phi", 0.0)),
+            met=finite(met.get("value", 0.0)),
+            met_phi=finite(met.get("phi", 0.0)),
             candidates=list(record.get("candidates", [])),
-            display=(dict(record["display"])
+            display=(_display_payload(record["display"])
                      if "display" in record else None),
         )
 

@@ -73,7 +73,8 @@ def render_event_svg(display_record: dict, size: int = 600) -> str:
     # Calorimeter towers: radial bars at the tower's phi, length by
     # energy (log-compressed so soft activity stays visible).
     towers = payload.get("towers", [])
-    peak = max((tower["energy"] for tower in towers), default=1.0)
+    peak = max((tower["energy"] for tower in towers), default=0.0)
+    scale = math.log1p(max(peak, 0.0)) or 1.0
     calo_inner = _scale(
         min((sub["inner_radius_mm"]
              for sub in geometry["subdetectors"]
@@ -81,7 +82,7 @@ def render_event_svg(display_record: dict, size: int = 600) -> str:
         max_radius, half,
     )
     for tower in towers:
-        fraction = math.log1p(tower["energy"]) / math.log1p(peak)
+        fraction = math.log1p(max(tower["energy"], 0.0)) / scale
         length = 0.25 * half * fraction
         colour = _KIND_COLOURS.get(tower["kind"], "#aaaaaa")
         x0 = calo_inner * math.cos(tower["phi"])

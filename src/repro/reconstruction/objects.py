@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.detector.digitization import MuonChamberHit
 from repro.kinematics import FourVector
-from repro.kinematics.fourvector import delta_phi
+from repro.kinematics.fourvector import delta_phi, finite
 from repro.reconstruction.clustering import CaloCluster
 from repro.reconstruction.tracking import Track
 
@@ -39,7 +39,7 @@ class Electron:
     def from_dict(cls, record: dict) -> "Electron":
         """Inverse of :meth:`to_dict`."""
         return cls(FourVector.from_list(record["p4"]), int(record["q"]),
-                   float(record["eop"]), float(record["iso"]))
+                   finite(record["eop"]), finite(record["iso"]))
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class Muon:
     def from_dict(cls, record: dict) -> "Muon":
         """Inverse of :meth:`to_dict`."""
         return cls(FourVector.from_list(record["p4"]), int(record["q"]),
-                   int(record["stations"]), float(record["iso"]))
+                   int(record["stations"]), finite(record["iso"]))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Jet:
     def from_dict(cls, record: dict) -> "Jet":
         """Inverse of :meth:`to_dict`."""
         return cls(FourVector.from_list(record["p4"]), int(record["ncon"]),
-                   float(record["emf"]))
+                   finite(record["emf"]))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class MissingEnergy:
     @classmethod
     def from_dict(cls, record: dict) -> "MissingEnergy":
         """Inverse of :meth:`to_dict`."""
-        return cls(float(record["met"]), float(record["phi"]))
+        return cls(finite(record["met"]), finite(record["phi"]))
 
 
 @dataclass

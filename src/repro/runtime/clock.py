@@ -13,8 +13,13 @@ object with a single ``now()`` reading:
   script observe identical timestamps.
 - :class:`MonotonicClock` — the production source, reading
   ``time.monotonic()``. Offered so deployments get real lease expiry
-  without changing any scheduler code; nothing in the test suite or
-  the deterministic replay path uses it.
+  without changing any scheduler code; the deterministic replay path
+  never uses it. Elapsed-time measurements that only feed metrics
+  (lint target timings, pool queue waits and utilisation) read it.
+
+:func:`wall_timestamp` is the one reader of the calendar clock; it
+stamps when a benchmark or run started, a field deterministic exports
+drop. These two are the library's only waived wall-clock reads.
 """
 
 from __future__ import annotations
@@ -101,3 +106,10 @@ class MonotonicClock(Clock):
     def advance(self, amount: float | None = None) -> float:
         """Real time cannot be advanced; returns the current reading."""
         return self.now()
+
+
+def wall_timestamp() -> str:
+    """The local calendar time as ``YYYY-MM-DDTHH:MM:SS+hhmm``."""
+    # lint: ignore[DAS001] -- the one calendar-time reader: it stamps
+    # when a run started, and deterministic exports drop that field
+    return time.strftime("%Y-%m-%dT%H:%M:%S%z")

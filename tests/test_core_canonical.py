@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core.canonical import (
     canonical_document,
     canonical_json,
@@ -11,6 +13,7 @@ from repro.core.canonical import (
 )
 from repro.datamodel.io import DatasetWriter
 from repro.datamodel.schema import DataTier
+from repro.errors import PreservationError
 
 
 class TestCanonicalJson:
@@ -50,6 +53,36 @@ class TestCanonicalText:
     def test_document_honours_indent(self):
         assert canonical_document({"a": 1}, indent=2) == (
             b'{\n  "a": 1\n}\n')
+
+
+class TestNonFiniteNumbers:
+    """JSON has no NaN or Infinity: every encoder refuses them."""
+
+    @pytest.mark.parametrize("encode", [canonical_json, canonical_text,
+                                        canonical_document])
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_refused_naming_where(self, encode, number):
+        with pytest.raises(PreservationError,
+                           match=r"\$\['muons'\]\[0\]\['p4'\]\[1\]"):
+            encode({"run": 1, "muons": [{"p4": [1.0, number]}]})
+
+    def test_circular_payload_is_still_a_value_error(self):
+        payload = []
+        payload.append(payload)
+        with pytest.raises(ValueError, match="Circular"):
+            canonical_json(payload)
+
+    def test_dataset_writer_names_the_line_and_writes_nothing(
+            self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        writer = DatasetWriter(path, "muons", DataTier.AOD, validate=False)
+        writer.write({"pt": 41.0})
+        writer.write({"pt": float("nan")})
+        with pytest.raises(PreservationError,
+                           match=r"events\.jsonl:3: .*\$\['pt'\]"):
+            writer.close()
+        assert not path.exists()
 
 
 class TestDatasetByteStability:

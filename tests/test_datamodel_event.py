@@ -80,8 +80,8 @@ class TestLeptonOrderingDeterminism:
     The secondary key (electrons before muons, then stored order) is
     part of the preserved selection semantics: MassWindowCut over
     "leptons" pairs the two leading leptons, so the ordering of an
-    exact-pt tie decides which pair is tested. The columnar engine
-    reproduces the same key with np.lexsort.
+    exact-pt tie decides which pair is tested, and archived skims
+    depend on it.
     """
 
     def _tied_event(self):
@@ -125,10 +125,10 @@ class TestLeptonOrderingDeterminism:
         assert ([lepton.to_dict() for lepton in restored.leptons()]
                 == [lepton.to_dict() for lepton in event.leptons()])
 
-    def test_matches_columnar_merged_ordering(self, mixed_aods):
-        # The columnar MassWindowCut("leptons") path orders the merged
-        # electron+muon collection with the same key; spot-check that
-        # the scalar order equals (-pt, flavour-rank, stored index).
+    def test_matches_explicit_sort_key(self, mixed_aods):
+        # Archived skims were selected with this order, so it must not
+        # drift: the merged electron+muon order equals
+        # (-pt, flavour-rank, stored index).
         for event in mixed_aods:
             want = sorted(
                 list(event.electrons) + list(event.muons),

@@ -160,6 +160,18 @@ class TestRawEvent:
         raws = digitizer.digitize_many(sim_events)
         assert [raw.bunch_crossing for raw in raws] == [1, 2, 3]
 
+    def test_batch_entry_point_is_the_scalar_loop(self, geometry):
+        # digitize_many_batch is one serial call: the same hits and
+        # bunch crossings as the per-event loop, bit for bit.
+        sim_events = _simulated(4, geometry, seed=101)
+        scalar = Digitizer(geometry, run_number=3, seed=102)
+        batch = Digitizer(geometry, run_number=3, seed=102)
+        assert ([raw.to_dict() for raw in batch.digitize_many_batch(
+                    sim_events)]
+                == [raw.to_dict() for raw in scalar.digitize_many(
+                    sim_events)])
+        assert batch.digitize(sim_events[0]).bunch_crossing == 5
+
     def test_size_accounting_positive(self, geometry):
         digitizer = Digitizer(geometry, seed=99)
         sim_events = _simulated(2, geometry, seed=100)

@@ -132,3 +132,12 @@ class TestBookkeeping:
         record = simulation.describe()
         assert record["simulator"] == "repro-fastsim"
         assert record["geometry"] == "GPD"
+
+    def test_batch_entry_point_is_the_scalar_loop(self):
+        # simulate_many_batch is one serial call: exact, not a
+        # statistically equivalent re-phasing of the draws.
+        events = _z_events(6, seed=72)
+        scalar = DetectorSimulation(generic_lhc_detector(), seed=73)
+        batch = DetectorSimulation(generic_lhc_detector(), seed=73)
+        assert (batch.simulate_many_batch(events)
+                == scalar.simulate_many(events))

@@ -1,17 +1,17 @@
-"""The parallel/columnar safety pass: DAS301–DAS312."""
+"""The parallel-safety and kernel-tier pass: DAS301–DAS312."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import re
-import shutil
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.columnar import declared_tier, equivalence_tier
+from repro.columnar import declared_tier, declared_tiers, equivalence_tier
 from repro.errors import ConfigurationError
 from repro.lint import lint_tree_par
 from repro.lint.flow.callgraph import _GraphBuilder
@@ -436,6 +436,35 @@ class TestWaivers:
 # ---------------------------------------------------------------------------
 
 class TestTierRegistry:
+    #: One kernel per tier; the statistical one advances its caller's
+    #: counter, a DAS309 hazard excused by a reasoned inline waiver.
+    KERNELS = {
+        "kernels.py": """
+            import numpy as np
+
+            from repro.columnar import equivalence_tier
+
+
+            @equivalence_tier("exact")
+            def double_all(values):
+                return [2.0 * value for value in values]
+
+
+            @equivalence_tier("ulp")
+            def eta(pz, pt):
+                return np.arcsinh(np.asarray(pz) / np.asarray(pt))
+
+
+            @equivalence_tier("statistical")
+            def digitize(state, events):
+                first = state.bx
+                # lint: ignore[DAS309] -- the scalar contract: digitising
+                # advances the caller's bunch-crossing counter per event
+                state.bx = first + len(events)
+                return [first + index + 1 for index in range(len(events))]
+        """,
+    }
+
     def test_decorator_registers_and_annotates(self):
         @equivalence_tier("ulp")
         def _tier_registry_probe(values):
@@ -450,12 +479,19 @@ class TestTierRegistry:
             def _bad(values):
                 return values
 
-    def test_bundled_kernels_declare_tiers(self):
-        from repro.columnar import fourvec, kernels
+    def test_bundled_kernels_declare_tiers(self, tmp_path):
+        write_tree(tmp_path, self.KERNELS)
+        spec = importlib.util.spec_from_file_location(
+            "tier_fixture_kernels", tmp_path / "kernels.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
 
-        assert declared_tier(fourvec.wrap_phi_array) == "exact"
-        assert declared_tier(fourvec.transverse_mass_array) == "ulp"
-        assert declared_tier(kernels.simulate_batch) == "statistical"
+        assert declared_tier(module.double_all) == "exact"
+        assert declared_tier(module.eta) == "ulp"
+        assert declared_tier(module.digitize) == "statistical"
+        assert declared_tier("tier_fixture_kernels.digitize") \
+            == "statistical"
+        assert declared_tiers()["tier_fixture_kernels.eta"] == "ulp"
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +504,17 @@ class TestSelfAnalysis:
 
     def test_kernels_waiver_is_load_bearing(self, tmp_path):
         """Stripping the one reasoned waiver re-surfaces exactly DAS309."""
-        copy = tmp_path / "repro"
-        shutil.copytree(REPO_SRC, copy)
-        kernels = copy / "columnar" / "kernels.py"
-        stripped = "\n".join(
-            line for line in
-            kernels.read_text(encoding="utf-8").splitlines()
-            if "lint: ignore[DAS309]" not in line)
-        kernels.write_text(stripped + "\n", encoding="utf-8")
-        findings = lint_tree_par(copy)
+        assert par_lint(tmp_path / "waived", TestTierRegistry.KERNELS) == []
+        stripped = {
+            "kernels.py": "\n".join(
+                line for line in
+                TestTierRegistry.KERNELS["kernels.py"].splitlines()
+                if "lint: ignore[DAS309]" not in line),
+        }
+        findings = par_lint(tmp_path / "stripped", stripped)
         assert [f.code for f in findings] == ["DAS309"]
-        assert "digitize_batch" in findings[0].message
+        assert "digitize" in findings[0].message
+        assert "state.bx" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ from repro.datamodel import (
 )
 from repro.errors import PersistenceError, PreservationError, ReproError
 from repro.hepdata import HepDataArchive
+from repro.lint import lint_path
+from repro.lint.consistency import lint_archive_directory
+from repro.lint.flow import ClosureManifest
+from repro.lint.flow.manifest import check_manifest_against_archive
 from repro.obs import (
     HealthReport,
     MetricsRegistry,
@@ -331,6 +335,67 @@ class TestReaderProperties:
               data[:index] + bytes([byte]) + data[index:])
 
 
+def _lint_catalogue(path) -> list[str]:
+    """Codes both lint readers of an archive report for a catalogue
+    holding ``path``'s bytes; a damaged one must be a finding."""
+    directory = path.parent / "archive"
+    directory.mkdir(exist_ok=True)
+    (directory / "catalogue.json").write_bytes(path.read_bytes())
+    findings = lint_archive_directory(directory)
+    findings += check_manifest_against_archive(
+        ClosureManifest(root="tree"), directory)
+    return [finding.code for finding in findings]
+
+
+class TestLintReaderDamage:
+    """``repro lint`` reports a damaged document it reads as a finding
+    (DAS010 for a loose document, DAS108/DAS208 for a catalogue)."""
+
+    def test_non_utf8_json_target_is_das010(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(NON_UTF8)
+        assert [f.code for f in lint_path(path)] == ["DAS010"]
+        assert main(["lint", str(path)]) == 2
+        assert "DAS010" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data", [b"[1,2]", NON_UTF8,
+                                      b'{"entries": [3]}',
+                                      b'{"entries": [{"metadata": 1}]}'],
+                             ids=["json-list", "non-utf8", "entry-int",
+                                  "metadata-int"])
+    def test_damaged_catalogue_is_das108_and_das208(self, data,
+                                                    tmp_path, capsys):
+        path = tmp_path / "catalogue.bytes"
+        path.write_bytes(data)
+        assert _lint_catalogue(path) == ["DAS108", "DAS208"]
+        assert main(["lint", str(tmp_path / "archive")]) == 2
+        assert "DAS108" in capsys.readouterr().out
+
+    def test_saved_archive_is_clean(self, tmp_path):
+        directory = tmp_path / "archive"
+        _archive().save(directory)
+        assert lint_archive_directory(directory) == []
+        assert check_manifest_against_archive(
+            ClosureManifest(root="tree"), directory) == []
+
+    @_PROPERTY
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data, tmp_path):
+        path = tmp_path / "catalogue.bytes"
+        path.write_bytes(data)
+        _lint_catalogue(path)
+        lint_path(path.rename(tmp_path / "doc.json"))
+
+    def test_every_field_with_a_wrong_type(self, tmp_path):
+        valid = _catalogue()
+        path = tmp_path / "catalogue.bytes"
+        for field_path in _field_paths(valid):
+            for value in (None, [], {}, "x", 1.5, float("nan")):
+                record = _with_value(valid, field_path, value)
+                path.write_text(json.dumps(record), encoding="utf-8")
+                _lint_catalogue(path)
+
+
 def _dataset_bytes(tmp_path) -> bytes:
     path = tmp_path / "valid.jsonl"
     write_dataset(path, "robust", DataTier.NTUPLE, [
@@ -436,6 +501,14 @@ _EVENT_RECORDS = {
              "phi": 2.97, "charge": 0},
         ],
         "met": {"value": 38.4, "phi": -2.65},
+        "display": {
+            "tracks": [{"pt": 36.9, "eta": 0.24, "phi": 0.47,
+                        "charge": 1,
+                        "points": [[90.0, 45.0], [180.0, 92.0]]}],
+            "towers": [{"kind": "hcal", "eta": 0.6, "phi": 2.97,
+                        "energy": 80.0}],
+            "met": {"value": 38.4, "phi": -2.65},
+        },
     },
 }
 
@@ -518,20 +591,57 @@ class TestEventRecordDamage:
 _AOD, _LEVEL2 = _EVENT_RECORDS[DataTier.AOD], _EVENT_RECORDS[DataTier.LEVEL2]
 
 
+def _assert_refused_at_line_3(command, tier, record, tmp_path, capsys,
+                              message: str) -> None:
+    """``command`` on a valid record and then ``record`` exits 2 with
+    ``message`` naming ``events.jsonl:3``."""
+    target = tmp_path / "events.jsonl"
+    write_dataset(target, "robust", tier, [_EVENT_RECORDS[tier]] * 2)
+    lines = target.read_bytes().splitlines(keepends=True)
+    # json.dumps, not the dataset writer: it refuses NaN and infinity.
+    target.write_bytes(b"".join(lines[:2]) + json.dumps(record).encode()
+                       + b"\n")
+    # The last form of the command: for display, the SVG renderer that
+    # reads the embedded payload.
+    argv = [argv for argv in _event_commands(tier, str(target), tmp_path)
+            if argv[0] == command][-1]
+    assert main(argv) == 2
+    assert f"events.jsonl:3: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, tier, record", [
     ("display", DataTier.LEVEL2, _with_value(_LEVEL2, ("met",), 5)),
     ("convert-level2", DataTier.AOD, _with_value(_AOD, ("muons",), 3)),
     ("skim", DataTier.AOD, _with_value(_AOD, ("muons",), 3)),
     ("display", DataTier.LEVEL2,
      _without(_LEVEL2, ("particles", 0, "E"))),
+    ("display", DataTier.LEVEL2,
+     _with_value(_LEVEL2, ("display",), {"tracks": 5})),
 ], ids=["level2-met-int", "aod-muons-int-convert", "aod-muons-int-skim",
-        "particle-without-E"])
+        "particle-without-E", "display-tracks-int"])
 def test_damaged_record_exits_2_naming_path_and_line(
         command, tier, record, tmp_path, capsys):
+    _assert_refused_at_line_3(command, tier, record, tmp_path, capsys,
+                              "malformed")
+
+
+@pytest.mark.parametrize("record", [
+    _with_value(_AOD, ("muons", 0, "p4", 1), float("nan")),
+    _with_value(_AOD, ("met", "phi"), float("inf")),
+    _with_value(_AOD, ("jets", 0, "emf"), float("-inf")),
+], ids=["p4-nan", "met-phi-inf", "jet-emf-minus-inf"])
+def test_non_finite_aod_value_is_refused_at_decode(record, tmp_path,
+                                                   capsys):
+    # Decoded, it would reach the writer, which cannot encode it.
+    _assert_refused_at_line_3("skim", DataTier.AOD, record, tmp_path,
+                              capsys, "non-finite value")
+
+
+def test_zero_energy_towers_render(tmp_path, capsys):
+    # All towers at zero energy used to divide by log1p(0) in the SVG.
+    record = _with_value(_LEVEL2, ("display", "towers", 0, "energy"), 0.0)
     target = tmp_path / "events.jsonl"
-    write_dataset(target, "robust", tier, [_EVENT_RECORDS[tier], record])
-    argv = next(argv for argv in _event_commands(tier, str(target),
-                                                 tmp_path)
-                if argv[0] == command)
-    assert main(argv) == 2
-    assert "events.jsonl:3: malformed" in capsys.readouterr().err
+    write_dataset(target, "robust", DataTier.LEVEL2, [record])
+    assert main(["display", "--input", str(target), "--event", "0",
+                 "--svg", str(tmp_path / "out.svg")]) == 0, \
+        capsys.readouterr().err

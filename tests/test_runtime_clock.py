@@ -1,9 +1,12 @@
 """Tests for the injectable clocks behind lease scheduling."""
 
+import re
+
 import pytest
 
 from repro.errors import ExecutionError
 from repro.runtime import LogicalClock, MonotonicClock
+from repro.runtime.clock import wall_timestamp
 
 
 class TestLogicalClock:
@@ -61,3 +64,9 @@ class TestMonotonicClock:
         assert hasattr(MonotonicClock, "tick")
         for method in ("now", "advance"):
             assert callable(getattr(MonotonicClock(), method))
+
+
+class TestWallTimestamp:
+    def test_iso_like_local_time(self):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d[+-]\d{4}",
+                            wall_timestamp())
