@@ -16,11 +16,7 @@ from repro.detector.geometry import (
     forward_spectrometer,
     generic_lhc_detector,
 )
-from repro.detector.response import (
-    CaloResponse,
-    EfficiencyCurve,
-    TrackerResponse,
-)
+from repro.detector.response import CaloResponse, EfficiencyCurve
 from repro.detector.simulation import DetectorSimulation, SimulatedEvent
 from repro.detector.digitization import (
     CaloCellHit,
@@ -35,7 +31,6 @@ __all__ = [
     "SubDetector",
     "generic_lhc_detector",
     "forward_spectrometer",
-    "TrackerResponse",
     "CaloResponse",
     "EfficiencyCurve",
     "DetectorSimulation",

@@ -1,10 +1,10 @@
 """Parameterised detector response models.
 
 These encode the resolution and efficiency behaviour that the full
-simulation would produce: calorimeter stochastic terms, tracker momentum
-resolution, and sigmoid efficiency turn-on curves. The digitiser applies
-the *hit-level* noise; these object-level models are used where the
-simulation shortcuts hit formation (calorimeter deposits, efficiencies).
+simulation would produce: calorimeter stochastic terms and sigmoid
+efficiency turn-on curves. The digitiser applies the *hit-level* noise;
+these object-level models are used where the simulation shortcuts hit
+formation (calorimeter deposits, efficiencies).
 """
 
 from __future__ import annotations
@@ -53,36 +53,6 @@ class CaloResponse:
         sigma = self.relative_resolution(energy) * energy
         measured = self.energy_scale * (energy + rng.normal(0.0, sigma))
         return max(0.0, measured)
-
-
-@dataclass(frozen=True)
-class TrackerResponse:
-    """Track momentum response ``sigma(pt)/pt = a*pt (+) b``.
-
-    ``curvature_term`` (``a``, per GeV) dominates at high pt where the
-    sagitta is small; ``ms_term`` (``b``) models multiple scattering at low
-    pt. Only used for parameterised smearing paths; hit-based tracking gets
-    its resolution from hit noise instead.
-    """
-
-    curvature_term: float = 2.0e-4
-    ms_term: float = 0.01
-
-    def relative_resolution(self, pt: float) -> float:
-        """Fractional pt resolution at the given transverse momentum.
-
-        sqrt-of-squares rather than ``hypot``: the two can differ in
-        the last ulp, so a switch would change the bytes of any smeared
-        output.
-        """
-        curvature = self.curvature_term * pt
-        return math.sqrt(curvature * curvature
-                         + self.ms_term * self.ms_term)
-
-    def smear_pt(self, pt: float, rng: np.random.Generator) -> float:
-        """Sample a measured pt for a true transverse momentum."""
-        sigma = self.relative_resolution(pt) * pt
-        return max(0.01, pt + rng.normal(0.0, sigma))
 
 
 @dataclass(frozen=True)

@@ -15,23 +15,11 @@ from repro.lint.det.roots import (
     replay_root,
     replay_roots,
 )
-from repro.lint.det.scan import (
-    DetFact,
-    DetFactKind,
-    ModuleDetScan,
-    RootDecl,
-    scan_det_module,
-)
 
 __all__ = [
-    "DetFact",
-    "DetFactKind",
-    "ModuleDetScan",
-    "RootDecl",
     "det_findings",
     "lint_tree_det",
     "register_replay_root",
     "replay_root",
     "replay_roots",
-    "scan_det_module",
 ]

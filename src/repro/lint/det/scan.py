@@ -1,16 +1,17 @@
-"""Per-module extraction of determinism facts and root declarations.
+"""Determinism facts and root declarations: tables over the fact walk.
 
-The flow layer's call graph answers *who calls whom*; this scan
-answers *what each function does that replayed serialization must
+The flow layer's call graph answers *who calls whom*; these tables
+answer *what each function does that replayed serialization must
 care about*: non-canonical JSON encoding, iteration over unordered
 collections, filesystem enumeration, ambient-state reads (clocks,
 identities, environment), drifting float formats, undisciplined
-randomness, and locale-dependent rendering. Nothing is imported or
-executed; facts are attached to the same ``module:func`` /
-``module:Class.method`` qualnames the call graph uses so the analysis
-layer can carry them along call edges.
+randomness, and locale-dependent rendering. They classify the fact
+walk's record of each function (:mod:`repro.lint.flow.factwalk`);
+nothing is walked, imported or executed. Facts carry the same
+``module:func`` / ``module:Class.method`` qualnames the call graph
+uses so the analysis layer can carry them along call edges.
 
-``@replay_root`` declarations are collected here too — recognised by
+``@replay_root`` declarations are read here too — recognised by
 dotted-name suffix, so a tree only ever *parsed* by the linter still
 declares its roots.
 """
@@ -18,21 +19,16 @@ declares its roots.
 from __future__ import annotations
 
 import ast
-import enum
 import re
-from dataclasses import dataclass, field
 
-from repro.lint.flow.callgraph import _ModuleScan
-from repro.lint.par.scan import (
-    _RNG_CONSTRUCTORS,
-    _root_name,
-    _seed_is_derived,
+from repro.lint.flow.chains import Fact
+from repro.lint.flow.factwalk import (
+    ModuleFacts,
+    Scope,
+    classify_rng,
+    root_name,
 )
-from repro.lint.pycheck import (
-    _NUMPY_RANDOM_SAFE,
-    _WALLCLOCK_CALLS,
-    _dotted_name,
-)
+from repro.lint.pycheck import _WALLCLOCK_CALLS, _dotted_name
 
 #: Builtins that consume an unordered source and emit an order-free
 #: (or deterministically ordered) result: iterating through them is
@@ -57,49 +53,13 @@ _FLOAT_SPEC_RE = re.compile(r"[eEfFgG%]$")
 _FLOAT_PERCENT_RE = re.compile(r"%[-+ #0]*[\d.]*[eEfFgG]")
 
 
-class DetFactKind(enum.Enum):
-    """The instability families the det pass knows about."""
-
-    NONCANONICAL_JSON = "noncanonical-json"
-    SET_ITERATION = "set-iteration"
-    DICT_VIEW_ITERATION = "dict-view-iteration"
-    UNSORTED_FS = "unsorted-fs"
-    WALL_CLOCK = "wall-clock"
-    HASH_IDENTITY = "hash-identity"
-    ENV_READ = "env-read"
-    FLOAT_FORMAT = "float-format"
-    UNDERIVED_RNG = "underived-rng"
-    LOCALE_STRING = "locale-string"
-    DICT_FROM_UNORDERED = "dict-from-unordered"
-
-
-@dataclass(frozen=True)
-class DetFact:
-    """One direct instability inside one function."""
-
-    kind: DetFactKind
-    description: str
-    line: int
-
-
-@dataclass(frozen=True)
-class RootDecl:
-    """One valid ``@replay_root(...)`` declaration."""
-
-    qualname: str
-    label: str
-    line: int
-
-
-@dataclass
-class ModuleDetScan:
-    """Everything the det pass extracted from one module."""
-
-    module: str
-    facts: dict[str, tuple[DetFact, ...]] = field(default_factory=dict)
-    roots: dict[str, RootDecl] = field(default_factory=dict)
-    #: Invalid declarations: (qualname, line, problem).
-    root_errors: tuple[tuple[str, int, str], ...] = ()
+#: RNG call class (:func:`classify_rng`) -> description.
+_RNG_FACTS = {
+    "unseeded": "an RNG constructed without a seed ({}())",
+    "constant": "an RNG seeded from a constant ({}(...))",
+    "global": "a draw from the process-global stream ({}())",
+    "legacy": "a draw from the legacy global stream ({}())",
+}
 
 
 def _is_setish(expr: ast.expr, bindings: dict,
@@ -136,279 +96,170 @@ def _is_sorted_call(expr: ast.expr) -> bool:
             and expr.func.id in {"sorted", "reversed"})
 
 
-class _DetFunctionFacts:
-    """Direct-instability extraction over one function, in one walk.
+class _DetTable:
+    """The direct instabilities of one function scope.
 
-    Iterations are checked after the walk, against the last binding
-    of each name; a sanitizer call is visited before its arguments.
+    Iterations are checked against the last binding of each name in
+    walk order; a sanitizer call's arguments are exempt from the
+    enumeration checks.
     """
 
-    def __init__(self, scan: _ModuleScan, funcdef) -> None:
-        self.scan = scan
-        self.funcdef = funcdef
-        params = set()
-        args = funcdef.args
-        for p in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            params.add(p.arg)
-        params.discard("self")
-        params.discard("cls")
-        self.params = params
+    def __init__(self, scope: Scope, module: ModuleFacts) -> None:
+        self.aliases = module.aliases
+        self.params = scope.params
         # Last simple ``name = expr`` binding per local name, so
         # ``tags = {...}; for t in tags:`` is still seen as a set.
-        self.bindings: dict[str, ast.expr] = {}
+        self.bindings = scope.bindings()
         # Expressions consumed by a sanitizer: ``sorted(p.iterdir())``
         # is a deterministic enumeration, not a hazard.
-        self.sanitized: set[int] = set()
-        self.facts: list[DetFact] = []
-
-    def _add(self, kind: DetFactKind, description: str,
-             line: int) -> None:
-        self.facts.append(DetFact(kind=kind, description=description,
-                                  line=line))
-
-    def run(self) -> tuple[DetFact, ...]:
-        iterations: list[tuple[ast.expr, int, bool]] = []
-        for node in ast.walk(self.funcdef):
+        self.sanitized = {
+            id(arg) for node, *_ in scope.calls
+            if isinstance(node.func, ast.Name)
+            and node.func.id in _SANITIZERS for arg in node.args}
+        self.facts: list[Fact] = []
+        for node, *_ in scope.iterations:
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                iterations.append((node.iter, node.lineno, False))
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.GeneratorExp, ast.DictComp)):
-                iterations.extend(
-                    (generator.iter, node.lineno,
-                     isinstance(node, ast.DictComp))
-                    for generator in node.generators)
-            elif isinstance(node, ast.Assign):
-                if (len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    self.bindings[node.targets[0].id] = node.value
-            elif isinstance(node, ast.Call):
-                if (isinstance(node.func, ast.Name)
-                        and node.func.id in _SANITIZERS):
-                    self.sanitized.update(id(arg) for arg in node.args)
-                self._scan_call(node)
-            elif isinstance(node, ast.Attribute):
-                self._scan_attribute(node)
-            elif isinstance(node, ast.FormattedValue):
-                self._scan_format_spec(node)
-            elif isinstance(node, ast.BinOp):
-                self._scan_percent_format(node)
-        for source, line, dict_target in iterations:
-            self._scan_iteration(source, line, dict_target)
-        return tuple(sorted(
-            set(self.facts),
-            key=lambda f: (f.line, f.kind.value, f.description)))
+                self._iteration(node.iter, node.lineno, False)
+            else:
+                for generator in node.generators:
+                    self._iteration(generator.iter, node.lineno,
+                                    isinstance(node, ast.DictComp))
+        for node, *_ in scope.calls:
+            self._call(node)
+        for node, *_ in scope.attributes:
+            dotted = _dotted_name(node)
+            if dotted is not None and self.aliases.resolve(dotted) in {
+                    "os.environ", "os.environb"}:
+                self._add("env-read", "an environment read (os.environ)",
+                          node.lineno)
+        for node, *_ in scope.formats:
+            self._format_spec(node)
+        for node, *_ in scope.percents:
+            left = node.left
+            if (isinstance(left, ast.Constant)
+                    and isinstance(left.value, str)
+                    and _FLOAT_PERCENT_RE.search(left.value)):
+                self._add("float-format", "a %-style float format",
+                          node.lineno)
 
-    # -- iteration sites -----------------------------------------------
+    def _add(self, kind: str, description: str, line: int) -> None:
+        self.facts.append(Fact(kind, description, line))
 
-    def _scan_iteration(self, source: ast.expr, line: int,
-                        dict_target: bool) -> None:
+    def _iteration(self, source: ast.expr, line: int,
+                   dict_target: bool) -> None:
         if _is_sorted_call(source):
             return
         if _is_setish(source, self.bindings):
             if dict_target:
-                self._add(DetFactKind.DICT_FROM_UNORDERED,
+                self._add("dict-from-unordered",
                           "a dict comprehension over a set (insertion "
                           "order bakes in set order)", line)
             else:
-                self._add(DetFactKind.SET_ITERATION,
+                self._add("set-iteration",
                           "iteration over a set (hash-seed-dependent "
                           "order)", line)
         elif _is_dict_view(source):
             method = source.func.attr
-            self._add(DetFactKind.DICT_VIEW_ITERATION,
+            self._add("dict-view-iteration",
                       f"unsorted iteration over a .{method}() dict "
                       f"view", line)
 
-    # -- calls ---------------------------------------------------------
-
-    def _scan_call(self, node: ast.Call) -> None:
+    def _call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
-        resolved = (self.scan.imports.resolve(dotted)
+        resolved = (self.aliases.resolve(dotted)
                     if dotted is not None else None)
         if resolved in {"json.dumps", "json.dump"}:
-            self._scan_json(node, resolved)
-        if resolved is not None:
-            if resolved in _WALLCLOCK_CALLS:
-                self._add(DetFactKind.WALL_CLOCK,
-                          f"a wall-clock read ({resolved}())",
-                          node.lineno)
-            elif resolved in _FS_ENUM_CALLS:
-                if id(node) not in self.sanitized:
-                    self._add(DetFactKind.UNSORTED_FS,
-                              f"an unsorted filesystem enumeration "
-                              f"({resolved}())", node.lineno)
-            elif resolved == "os.getenv":
-                self._add(DetFactKind.ENV_READ,
-                          "an environment read (os.getenv())",
-                          node.lineno)
-            elif resolved.startswith("locale."):
-                self._add(DetFactKind.LOCALE_STRING,
-                          f"a locale-dependent operation "
+            self._json(node, resolved)
+        if resolved in _WALLCLOCK_CALLS:
+            self._add("wall-clock", f"a wall-clock read ({resolved}())",
+                      node.lineno)
+        elif resolved in _FS_ENUM_CALLS:
+            if id(node) not in self.sanitized:
+                self._add("unsorted-fs",
+                          f"an unsorted filesystem enumeration "
                           f"({resolved}())", node.lineno)
-            else:
-                self._scan_rng(node, resolved)
+        elif resolved == "os.getenv":
+            self._add("env-read", "an environment read (os.getenv())",
+                      node.lineno)
+        elif resolved is not None and resolved.startswith("locale."):
+            self._add("locale-string",
+                      f"a locale-dependent operation ({resolved}())",
+                      node.lineno)
+        elif resolved is not None:
+            rng = classify_rng(node, resolved, self.params)
+            if rng is not None:
+                self._add("underived-rng",
+                          _RNG_FACTS[rng].format(resolved), node.lineno)
         if isinstance(node.func, ast.Attribute):
-            self._scan_method_call(node)
+            self._method_call(node, resolved)
         if (isinstance(node.func, ast.Name)
                 and node.func.id in {"id", "hash"}
-                and self.scan.imports.alias_target(node.func.id)
-                is None):
-            self._add(DetFactKind.HASH_IDENTITY,
+                and self.aliases.alias_target(node.func.id) is None):
+            self._add("hash-identity",
                       f"a per-process {node.func.id}() value",
                       node.lineno)
         for keyword in node.keywords:
             if (keyword.arg == "key"
                     and isinstance(keyword.value, ast.Name)
                     and keyword.value.id in {"id", "hash"}):
-                self._add(DetFactKind.HASH_IDENTITY,
+                self._add("hash-identity",
                           f"an ordering keyed on "
                           f"{keyword.value.id}()", node.lineno)
 
-    def _scan_json(self, node: ast.Call, resolved: str) -> None:
+    def _json(self, node: ast.Call, resolved: str) -> None:
         for keyword in node.keywords:
             if keyword.arg == "sort_keys":
                 value = keyword.value
                 if (isinstance(value, ast.Constant)
                         and value.value is True):
                     return
-                self._add(DetFactKind.NONCANONICAL_JSON,
+                self._add("noncanonical-json",
                           f"a {resolved}() whose sort_keys is not the "
                           f"constant True", node.lineno)
                 return
-        self._add(DetFactKind.NONCANONICAL_JSON,
+        self._add("noncanonical-json",
                   f"a {resolved}() without sort_keys=True "
                   f"(insertion-ordered keys)", node.lineno)
 
-    def _scan_method_call(self, node: ast.Call) -> None:
+    def _method_call(self, node: ast.Call, resolved: str | None) -> None:
         method = node.func.attr
-        dotted = _dotted_name(node.func)
-        resolved = (self.scan.imports.resolve(dotted)
-                    if dotted is not None else None)
         if (method in _FS_ENUM_METHODS
                 and resolved not in _FS_ENUM_CALLS
                 and id(node) not in self.sanitized):
-            root = _root_name(node.func.value)
+            root = root_name(node.func.value)
             receiver = f"{root}." if root is not None else ""
-            self._add(DetFactKind.UNSORTED_FS,
+            self._add("unsorted-fs",
                       f"an unsorted filesystem enumeration "
                       f"({receiver}{method}())", node.lineno)
         elif method == "strftime":
-            self._add(DetFactKind.LOCALE_STRING,
+            self._add("locale-string",
                       "a strftime() rendering (locale-dependent "
                       "names)", node.lineno)
 
-    def _scan_rng(self, node: ast.Call, resolved: str) -> None:
-        base = resolved.rpartition(".")[2]
-        if resolved == "random.Random" or (
-                resolved.startswith("numpy.random.")
-                and (base in _RNG_CONSTRUCTORS
-                     or base in _NUMPY_RANDOM_SAFE)):
-            if not node.args and not node.keywords:
-                self._add(DetFactKind.UNDERIVED_RNG,
-                          f"an RNG constructed without a seed "
-                          f"({resolved}())", node.lineno)
-            elif not _seed_is_derived(node, self.params):
-                self._add(DetFactKind.UNDERIVED_RNG,
-                          f"an RNG seeded from a constant "
-                          f"({resolved}(...))", node.lineno)
-            return
-        if resolved.startswith("random."):
-            self._add(DetFactKind.UNDERIVED_RNG,
-                      f"a draw from the process-global stream "
-                      f"({resolved}())", node.lineno)
-        elif (resolved.startswith("numpy.random.")
-              and base != "default_rng"):
-            self._add(DetFactKind.UNDERIVED_RNG,
-                      f"a draw from the legacy global stream "
-                      f"({resolved}())", node.lineno)
-
-    # -- ambient attribute reads ---------------------------------------
-
-    def _scan_attribute(self, node: ast.Attribute) -> None:
-        dotted = _dotted_name(node)
-        if dotted is None:
-            return
-        if self.scan.imports.resolve(dotted) in {"os.environ",
-                                                 "os.environb"}:
-            self._add(DetFactKind.ENV_READ,
-                      "an environment read (os.environ)", node.lineno)
-
-    # -- formatting ----------------------------------------------------
-
-    def _scan_format_spec(self, node: ast.FormattedValue) -> None:
+    def _format_spec(self, node: ast.FormattedValue) -> None:
         spec = node.format_spec
         if not isinstance(spec, ast.JoinedStr):
             return
         text = "".join(part.value for part in spec.values
                        if isinstance(part, ast.Constant))
         if _FLOAT_SPEC_RE.search(text):
-            self._add(DetFactKind.FLOAT_FORMAT,
-                      f"a fixed float format (:{text})", node.lineno)
-
-    def _scan_percent_format(self, node: ast.BinOp) -> None:
-        if not isinstance(node.op, ast.Mod):
-            return
-        left = node.left
-        if (isinstance(left, ast.Constant)
-                and isinstance(left.value, str)
-                and _FLOAT_PERCENT_RE.search(left.value)):
-            self._add(DetFactKind.FLOAT_FORMAT,
-                      "a %-style float format", node.lineno)
+            self._add("float-format", f"a fixed float format (:{text})",
+                      node.lineno)
 
 
-def _root_decl(funcdef) -> tuple[str | None, int | None, str | None]:
-    """(label, decorator line, problem) of a root-decorated function.
+def det_facts(scope: Scope, module: ModuleFacts) -> list[Fact]:
+    """The direct instabilities of one function scope."""
+    return _DetTable(scope, module).facts
+
+
+def root_problem(label: str | None) -> str | None:
+    """What is wrong with a ``@replay_root`` label, if anything.
 
     The bare decorator and a zero-argument call declare an unlabelled
     root; a constant-string argument (positional or ``name=``) labels
     it. Anything computed is a DAS412 problem.
     """
-    for decorator in funcdef.decorator_list:
-        target = (decorator.func if isinstance(decorator, ast.Call)
-                  else decorator)
-        dotted = _dotted_name(target)
-        if dotted is None or (dotted.rpartition(".")[2]
-                              != "replay_root"):
-            continue
-        if not isinstance(decorator, ast.Call):
-            return "", decorator.lineno, None
-        labels = list(decorator.args) + [
-            kw.value for kw in decorator.keywords if kw.arg == "name"]
-        if not labels:
-            return "", decorator.lineno, None
-        label = labels[0]
-        if (isinstance(label, ast.Constant)
-                and isinstance(label.value, str)):
-            return label.value, decorator.lineno, None
-        return None, decorator.lineno, (
-            "root name is not a string constant; a computed root "
-            "declares nothing checkable")
-    return None, None, None
-
-
-def scan_det_module(module: str, scan: _ModuleScan) -> ModuleDetScan:
-    """Extract every det-relevant fact from one scanned module."""
-    result = ModuleDetScan(module=module)
-    root_errors: list[tuple[str, int, str]] = []
-
-    def scan_function(qualname: str, funcdef) -> None:
-        facts = _DetFunctionFacts(scan, funcdef).run()
-        if facts:
-            result.facts[qualname] = facts
-        label, line, problem = _root_decl(funcdef)
-        if problem is not None:
-            root_errors.append((qualname, line, problem))
-        elif label is not None:
-            result.roots[qualname] = RootDecl(
-                qualname=qualname, label=label, line=line)
-
-    for name, funcdef in sorted(scan.function_defs.items()):
-        scan_function(f"{module}:{name}", funcdef)
-    for class_name, klass in sorted(scan.class_defs.items()):
-        for stmt in klass.body:
-            if isinstance(stmt, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                scan_function(f"{module}:{class_name}.{stmt.name}",
-                              stmt)
-    result.root_errors = tuple(sorted(root_errors))
-    return result
+    if label is None:
+        return ("root name is not a string constant; a computed root "
+                "declares nothing checkable")
+    return None

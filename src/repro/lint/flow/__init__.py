@@ -1,13 +1,14 @@
 """``repro.lint.flow`` — the interprocedural (deep) analysis layer.
 
 Where ``repro.lint.pycheck`` inspects one file one statement at a
-time, this package reasons over a whole source tree: a module/import
-graph (:mod:`modgraph`), a per-function call graph (:mod:`callgraph`),
-taint propagation that carries impurity facts to ``Analysis`` entry
-points (:mod:`taint`, rules ``DAS201``–``DAS207``), and a static
-dependency-closure extractor whose deterministic manifest is checked
-against the archive and the catalogues (:mod:`closure`,
-:mod:`manifest`, rules ``DAS208``–``DAS212``).
+time, this package reasons over a whole source tree: one fact walk per
+module (:mod:`factwalk`), a module/import graph (:mod:`modgraph`), a
+per-function call graph (:mod:`callgraph`), taint propagation that
+carries impurity facts to ``Analysis`` entry points (:mod:`taint`,
+rules ``DAS201``–``DAS207``), and a static dependency-closure
+extractor whose deterministic manifest is checked against the archive
+and the catalogues (:mod:`closure`, :mod:`manifest`, rules
+``DAS208``–``DAS212``).
 """
 
 from repro.lint.flow.callgraph import (
@@ -35,13 +36,7 @@ from repro.lint.flow.modgraph import (
     ModuleNode,
     build_module_graph,
 )
-from repro.lint.flow.taint import (
-    TaintFact,
-    TaintKind,
-    deep_findings,
-    direct_facts,
-    lint_tree_deep,
-)
+from repro.lint.flow.taint import deep_findings, direct_facts, lint_tree_deep
 
 __all__ = [
     "ANALYSIS_ENTRY_METHODS",
@@ -51,8 +46,6 @@ __all__ = [
     "FunctionInfo",
     "ModuleGraph",
     "ModuleNode",
-    "TaintFact",
-    "TaintKind",
     "analyze_tree",
     "archive_closure_sources",
     "build_call_graph",

@@ -14,24 +14,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.lint.flow.callgraph import CallGraph, ClassInfo, analyze_tree
 from repro.lint.flow.manifest import ClosureManifest
-
-
-def _reachable_functions(graph: CallGraph,
-                         entry_methods: list[str]) -> set[str]:
-    seen: set[str] = set()
-    frontier = [m for m in entry_methods if m in graph.functions]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        info = graph.functions.get(current)
-        if info is None:
-            continue
-        for callee, _ in info.calls:
-            if callee not in seen and callee in graph.functions:
-                frontier.append(callee)
-    return seen
+from repro.lint.flow.modgraph import reachable
 
 
 def extract_closure(root, entry: str | None = None) -> ClosureManifest:
@@ -58,12 +41,14 @@ def extract_closure_from_graph(graph: CallGraph,
                 f"no Analysis subclass {entry!r} in the target tree"
             )
     analyses: list[dict] = []
-    reachable: set[str] = set()
+    reached: set[str] = set()
     tags: set[str] = set()
     for info in entries:
         methods = graph.entry_methods(info)
-        functions = _reachable_functions(graph, methods)
-        reachable |= functions
+        functions = reachable(methods, lambda qualname: [
+            callee for callee, _ in graph.functions[qualname].calls
+            if callee in graph.functions])
+        reached |= functions
         booked: set[str] = set()
         for qualname in functions:
             for event in graph.functions[qualname].events:
@@ -83,7 +68,7 @@ def extract_closure_from_graph(graph: CallGraph,
         })
 
     function_modules = sorted({
-        graph.functions[qualname].module for qualname in reachable
+        graph.functions[qualname].module for qualname in reached
     } | {info.module for info in entries})
     module_names = graph.modules.internal_closure(function_modules)
     externals: set[str] = set()
@@ -103,7 +88,7 @@ def extract_closure_from_graph(graph: CallGraph,
         root=graph.modules.anchor.name,
         analyses=sorted(analyses, key=lambda a: a["qualname"]),
         functions=tuple(sorted(
-            q for q in reachable if not q.endswith(":<module>"))),
+            q for q in reached if not q.endswith(":<module>"))),
         modules=tuple(modules),
         external_modules=tuple(sorted(externals)),
         conditions_tags=tuple(sorted(tags)),

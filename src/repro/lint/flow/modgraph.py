@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.pycheck import _ImportMap
+from repro.lint.flow.factwalk import ModuleFacts, walk_module
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,10 @@ class ModuleNode:
     external_imports: tuple[str, ...] = ()
     unresolved_imports: tuple[tuple[str, int], ...] = ()
     parse_error: str = ""
-    #: The parsed source, shared by every pass over this graph.
-    tree: ast.Module | None = field(default=None, compare=False,
-                                    repr=False)
+    #: The fact walk's record of the parsed source, shared by every
+    #: pass over this graph.
+    facts: ModuleFacts | None = field(default=None, compare=False,
+                                      repr=False)
 
     @property
     def package(self) -> str:
@@ -60,26 +61,35 @@ class ModuleGraph:
 
     def internal_closure(self, start: list[str]) -> list[str]:
         """Modules transitively reachable from ``start`` via imports."""
-        seen: set[str] = set()
-        frontier = [name for name in start if name in self.modules]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for imported in self.modules[name].internal_imports:
-                if imported not in seen:
-                    frontier.append(imported)
-        return sorted(seen)
+        return sorted(reachable(
+            [name for name in start if name in self.modules],
+            lambda name: self.modules[name].internal_imports))
 
     def resolve_module(self, dotted: str) -> str | None:
         """Longest prefix of ``dotted`` that names a tree module."""
-        parts = dotted.split(".")
-        for length in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:length])
-            if candidate in self.modules:
-                return candidate
-        return None
+        return _longest_prefix(dotted, self.modules)
+
+
+def reachable(start, neighbours) -> set:
+    """Everything reachable from ``start`` along ``neighbours(node)``."""
+    seen: set = set()
+    frontier = list(start)
+    while frontier:
+        current = frontier.pop()
+        if current not in seen:
+            seen.add(current)
+            frontier.extend(neighbours(current))
+    return seen
+
+
+def _longest_prefix(dotted: str, names) -> str | None:
+    """Longest dotted prefix of ``dotted`` among ``names``."""
+    parts = dotted.split(".")
+    for length in range(len(parts), 0, -1):
+        candidate = ".".join(parts[:length])
+        if candidate in names:
+            return candidate
+    return None
 
 
 def _find_anchor(root: Path) -> Path:
@@ -103,46 +113,13 @@ def _module_name(relative: Path) -> str:
     return ".".join(parts)
 
 
-def _collect_imports(module: ast.Module, package: str
-                     ) -> list[tuple[str, int, bool, bool]]:
-    """Every import: (absolute dotted, line, resolved, candidate).
-
-    ``resolved`` is False for relative imports the package context
-    cannot absolutise — those become DAS207 material downstream.
-    ``candidate`` marks from-import names that may be submodules and
-    only count when a tree module of that exact name exists.
-    """
-    imports: list[tuple[str, int, bool, bool]] = []
-    scratch = _ImportMap(package=package)
-    for node in ast.walk(module):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imports.append((alias.name, node.lineno, True, False))
-        elif isinstance(node, ast.ImportFrom):
-            base = scratch._absolute_base(node.module, node.level)
-            if base is None:
-                rendered = "." * node.level + (node.module or "")
-                imports.append((rendered, node.lineno, False, False))
-            else:
-                imports.append((base, node.lineno, True, False))
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    # ``from pkg import mod`` may name a *submodule* —
-                    # a candidate only counted when a tree module of
-                    # exactly that name exists.
-                    imports.append((f"{base}.{alias.name}",
-                                    node.lineno, True, True))
-    return imports
-
-
 def build_module_graph(root: str | Path) -> ModuleGraph:
     """Scan a file or directory target into a :class:`ModuleGraph`."""
     root = Path(root).resolve()
     anchor = _find_anchor(root)
     graph = ModuleGraph(anchor=anchor)
     records: list[tuple[str, Path, str, str, list, str,
-                        ast.Module | None]] = []
+                        ModuleFacts | None]] = []
     for path in sorted(anchor.rglob("*.py")):
         relative = path.relative_to(anchor)
         name = _module_name(relative)
@@ -163,20 +140,19 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             records.append((name, relative, source, digest, [],
                             f"source does not parse: {exc.msg}", None))
             continue
-        records.append((name, relative, source, digest,
-                        _collect_imports(module, package), "", module))
+        facts = walk_module(module, name, package)
+        # (absolute dotted, line, resolved, candidate) per import; an
+        # unresolved relative import becomes DAS207 material, and a
+        # candidate submodule only counts on an exact tree match.
+        imports = [(dotted, node.lineno, resolved, candidate)
+                   for node in facts.imports
+                   for dotted, resolved, candidate in facts.imported(node)]
+        records.append((name, relative, source, digest, imports, "",
+                        facts))
 
     known = {name for name, *_ in records}
 
-    def longest_prefix(dotted: str) -> str | None:
-        parts = dotted.split(".")
-        for length in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:length])
-            if candidate in known:
-                return candidate
-        return None
-
-    for name, relative, source, digest, imports, error, tree in records:
+    for name, relative, source, digest, imports, error, facts in records:
         internal: list[str] = []
         external: list[str] = []
         unresolved: list[tuple[str, int]] = []
@@ -193,7 +169,7 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             if not resolved:
                 unresolved.append((dotted, line))
                 continue
-            member = longest_prefix(dotted)
+            member = _longest_prefix(dotted, known)
             if member is not None and member != name:
                 internal.append(member)
             elif member is None:
@@ -208,7 +184,7 @@ def build_module_graph(root: str | Path) -> ModuleGraph:
             external_imports=tuple(sorted(set(external))),
             unresolved_imports=tuple(sorted(set(unresolved))),
             parse_error=error,
-            tree=tree,
+            facts=facts,
         )
 
     if root.is_file():

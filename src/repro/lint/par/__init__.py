@@ -8,22 +8,5 @@ graphs; run via ``repro lint --par`` (and as part of ``--deep``).
 """
 
 from repro.lint.par.analysis import lint_tree_par, par_findings
-from repro.lint.par.scan import (
-    DispatchSite,
-    ModuleParScan,
-    ParFact,
-    ParFactKind,
-    TierDecl,
-    scan_par_module,
-)
 
-__all__ = [
-    "DispatchSite",
-    "ModuleParScan",
-    "ParFact",
-    "ParFactKind",
-    "TierDecl",
-    "lint_tree_par",
-    "par_findings",
-    "scan_par_module",
-]
+__all__ = ["lint_tree_par", "par_findings"]

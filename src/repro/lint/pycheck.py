@@ -137,6 +137,55 @@ _PATH_METHODS = {
     "mkdir", "rmdir", "touch", "rename", "replace", "open",
 }
 
+
+def _classify_call(dotted: str, has_args: bool) -> tuple | None:
+    """(kind, description) of one resolved call, if impure.
+
+    The shallow rules and the deep pass's taint facts share it.
+    """
+    if dotted in _WALLCLOCK_CALLS:
+        return "wall-clock", f"wall-clock call {dotted}()"
+    if dotted == "random.Random" and not has_args:
+        return ("unseeded-rng",
+                "random.Random() constructed without a seed")
+    if dotted.startswith("random.") and dotted != "random.Random":
+        return ("unseeded-rng",
+                f"call to module-global RNG {dotted}()")
+    if dotted == "numpy.random.default_rng" and not has_args:
+        return ("unseeded-rng",
+                "numpy.random.default_rng() without a seed")
+    if dotted.startswith("numpy.random."):
+        attr = dotted.split(".", 2)[2]
+        if attr not in _NUMPY_RANDOM_SAFE and attr != "default_rng":
+            return ("unseeded-rng",
+                    f"call to legacy global RNG {dotted}()")
+    root = dotted.split(".")[0]
+    if root in _NETWORK_MODULES:
+        return "network", f"network call {dotted}()"
+    if dotted == "open":
+        return ("filesystem",
+                "direct open() outside the archive API")
+    if dotted in _OS_FILE_CALLS or dotted.startswith("shutil."):
+        return "filesystem", f"filesystem call {dotted}()"
+    if dotted in ("os.getenv", "os.environ.get"):
+        return "env-read", f"environment read via {dotted}()"
+    return None
+
+
+def _classify_path_chain(receiver: str, method: str) -> tuple | None:
+    """(kind, description) of a ``Path(...).method()`` call, if it
+    touches the filesystem; ``receiver`` is resolved."""
+    if receiver in ("pathlib.Path", "Path") and method in _PATH_METHODS:
+        return ("filesystem",
+                f"Path(...).{method}() outside the archive API")
+    return None
+
+
+#: Shallow rule of each kind :func:`_classify_call` reports; an
+#: environment read is reported where the attribute is read.
+_CALL_RULES = {"wall-clock": RULE_WALLCLOCK, "unseeded-rng": RULE_RANDOM,
+               "network": RULE_NETWORK, "filesystem": RULE_FILESYSTEM}
+
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 _PRESERVATION_EXCEPTIONS = {
     "ReproError", "PreservationError", "ArchiveError", "FixityError",
@@ -278,6 +327,29 @@ def _is_mutable_value(value: ast.expr) -> bool:
     return False
 
 
+def _find_metadata_call(klass: ast.ClassDef) -> ast.Call | None:
+    """The ``AnalysisMetadata(...)`` call backing ``metadata``: a
+    class-level assignment, or one to ``self.metadata`` in
+    ``__init__``."""
+    for stmt in klass.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "metadata"
+                        for t in stmt.targets)
+                and isinstance(stmt.value, ast.Call)):
+            return stmt.value
+    for stmt in klass.body:
+        if (isinstance(stmt, ast.FunctionDef)
+                and stmt.name == "__init__"):
+            for sub in ast.walk(stmt):
+                if (isinstance(sub, ast.Assign)
+                        and isinstance(sub.value, ast.Call)
+                        and any(isinstance(t, ast.Attribute)
+                                and t.attr == "metadata"
+                                for t in sub.targets)):
+                    return sub.value
+    return None
+
+
 class _SourceChecker(ast.NodeVisitor):
     """One pass over a module AST, emitting findings as it goes."""
 
@@ -317,74 +389,21 @@ class _SourceChecker(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
-        resolved = self.imports.resolve(dotted) if dotted else None
-        if resolved:
-            self._check_call(node, resolved)
-        else:
-            self._check_path_chain(node)
-        self.generic_visit(node)
-
-    def _check_call(self, node: ast.Call, resolved: str) -> None:
-        if resolved in _WALLCLOCK_CALLS:
-            self._emit(RULE_WALLCLOCK,
-                       f"wall-clock call {resolved}()", node)
-            return
-        if self._check_random(node, resolved):
-            return
-        root = resolved.split(".")[0]
-        if root in _NETWORK_MODULES:
-            self._emit(RULE_NETWORK,
-                       f"network call {resolved}()", node)
-            return
-        self._check_filesystem(node, resolved)
-
-    def _check_random(self, node: ast.Call, resolved: str) -> bool:
-        if resolved == "random.Random" and not node.args:
-            self._emit(RULE_RANDOM,
-                       "random.Random() constructed without a seed", node)
-            return True
-        if (resolved.startswith("random.")
-                and resolved != "random.Random"):
-            self._emit(RULE_RANDOM,
-                       f"call to module-global RNG {resolved}()", node)
-            return True
-        if resolved == "numpy.random.default_rng" and not node.args:
-            self._emit(RULE_RANDOM,
-                       "numpy.random.default_rng() without a seed", node)
-            return True
-        if resolved.startswith("numpy.random."):
-            attr = resolved.split(".", 2)[2]
-            if attr not in _NUMPY_RANDOM_SAFE and attr != "default_rng":
-                self._emit(
-                    RULE_RANDOM,
-                    f"call to legacy global RNG {resolved}()", node,
-                )
-                return True
-        return False
-
-    def _check_filesystem(self, node: ast.Call, resolved: str) -> None:
-        if resolved == "open":
-            self._emit(RULE_FILESYSTEM,
-                       "direct open() outside the archive API", node)
-            return
-        if resolved in _OS_FILE_CALLS or resolved.startswith("shutil."):
-            self._emit(RULE_FILESYSTEM,
-                       f"filesystem call {resolved}()", node)
-
-    def _check_path_chain(self, node: ast.Call) -> None:
-        """Path("...").write_text(...) style chained calls."""
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _PATH_METHODS
-                and isinstance(node.func.value, ast.Call)):
+        classified = None
+        if dotted:
+            classified = _classify_call(self.imports.resolve(dotted),
+                                        bool(node.args))
+        elif (isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Call)):
+            # Path("...").write_text(...)-style chains.
             receiver = _dotted_name(node.func.value.func)
-            if receiver and self.imports.resolve(receiver) in (
-                "pathlib.Path", "Path",
-            ):
-                self._emit(
-                    RULE_FILESYSTEM,
-                    f"Path(...).{node.func.attr}() outside the "
-                    f"archive API", node,
-                )
+            if receiver is not None:
+                classified = _classify_path_chain(
+                    self.imports.resolve(receiver), node.func.attr)
+        if classified is not None and classified[0] in _CALL_RULES:
+            kind, description = classified
+            self._emit(_CALL_RULES[kind], description, node)
+        self.generic_visit(node)
 
     # -- environment ---------------------------------------------------
 
@@ -472,7 +491,7 @@ class _SourceChecker(ast.NodeVisitor):
                      for base in stmt.bases}
             if "Analysis" not in bases:
                 continue
-            metadata_call = self._find_metadata_call(stmt)
+            metadata_call = _find_metadata_call(stmt)
             if metadata_call is None:
                 self._emit(
                     RULE_METADATA,
@@ -487,29 +506,6 @@ class _SourceChecker(ast.NodeVisitor):
                     f"inspire_id (no literature linkage)",
                     metadata_call, artifact=stmt.name,
                 )
-
-    @staticmethod
-    def _find_metadata_call(klass: ast.ClassDef) -> ast.Call | None:
-        """The AnalysisMetadata(...) call backing ``metadata``, if any."""
-        for stmt in klass.body:
-            if (isinstance(stmt, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "metadata"
-                            for t in stmt.targets)
-                    and isinstance(stmt.value, ast.Call)):
-                return stmt.value
-        for stmt in klass.body:
-            if (isinstance(stmt, ast.FunctionDef)
-                    and stmt.name == "__init__"):
-                for sub in ast.walk(stmt):
-                    if (isinstance(sub, ast.Assign)
-                            and isinstance(sub.value, ast.Call)
-                            and any(
-                                isinstance(t, ast.Attribute)
-                                and t.attr == "metadata"
-                                for t in sub.targets
-                            )):
-                        return sub.value
-        return None
 
     @staticmethod
     def _has_inspire_id(call: ast.Call) -> bool:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.detector import CaloResponse, EfficiencyCurve, TrackerResponse
+from repro.detector import CaloResponse, EfficiencyCurve
 from repro.errors import ConfigurationError
 
 
@@ -41,23 +41,6 @@ class TestCaloResponse:
     def test_zero_energy(self, rng):
         response = CaloResponse(stochastic_term=0.1, constant_term=0.01)
         assert response.smear(0.0, rng) == 0.0
-
-
-class TestTrackerResponse:
-    def test_resolution_worsens_at_high_pt(self):
-        response = TrackerResponse()
-        assert (response.relative_resolution(500.0)
-                > response.relative_resolution(5.0))
-
-    def test_multiple_scattering_floor(self):
-        response = TrackerResponse(curvature_term=1e-4, ms_term=0.02)
-        assert response.relative_resolution(0.5) == pytest.approx(
-            0.02, rel=0.01
-        )
-
-    def test_smear_stays_positive(self, rng):
-        response = TrackerResponse(curvature_term=0.1, ms_term=0.5)
-        assert all(response.smear_pt(0.3, rng) > 0.0 for _ in range(500))
 
 
 class TestEfficiencyCurve:

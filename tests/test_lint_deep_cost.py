@@ -1,12 +1,15 @@
-"""Cost contracts of the deep passes: one parse per module, no garbage.
+"""Cost contracts of the deep passes: one parse and one walk per module,
+no garbage.
 
 Each of ``lint_tree_deep``, ``lint_tree_par`` and ``lint_tree_det``
 parses every module of the tree exactly once — the module-graph scan
-hands its trees to the call graph, and the par/det scans read the call
-graph's. ``deep_findings``/``par_findings``/``det_findings`` on a built
-graph parse nothing, so ``repro lint --deep`` parses every module
-twice: once for the shallow pass and once for the one graph its three
-deep passes share. A pass frees everything it built by reference
+parses each module and walks it once, and the call graph and the
+par/det tables read that walk's record. ``deep_findings``/
+``par_findings``/``det_findings`` on a built graph parse nothing, so
+``repro lint --deep`` parses every module twice: once for the shallow
+pass and once for the one graph its three deep passes share. Building
+the graph and running all three passes asks for each AST node's
+children about once. A pass frees everything it built by reference
 counting alone: no reference cycle keeps a call graph (and every AST in
 it) alive until the cyclic collector happens to run.
 """
@@ -79,6 +82,29 @@ def test_cli_deep_lint_parses_every_module_twice(corpus, parses, capsys):
     expected = {str(path): 2 for path in sorted(corpus.rglob("*.py"))}
     assert len(expected) == 32
     assert dict(parses) == expected
+
+
+def test_graph_and_passes_walk_each_node_once(corpus, monkeypatch):
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(corpus.rglob("*.py"))]
+    nodes = sum(1 for tree in trees for _ in ast.walk(tree))
+    calls = 0
+    real_iter_child_nodes = ast.iter_child_nodes
+
+    def counting_iter_child_nodes(node):
+        nonlocal calls
+        calls += 1
+        return real_iter_child_nodes(node)
+
+    # ``ast.walk`` looks the function up on the module too.
+    monkeypatch.setattr(ast, "iter_child_nodes", counting_iter_child_nodes)
+    graph = analyze_tree(corpus)
+    for findings in (deep_findings, par_findings, det_findings):
+        assert findings(graph)
+    # Every node but the module roots is visited through the function,
+    # and almost nothing is visited twice.
+    assert calls >= nodes - len(trees)
+    assert calls <= 1.1 * nodes
 
 
 @pytest.mark.parametrize("run", PASSES, ids=lambda run: run.__name__)

@@ -299,6 +299,58 @@ class TestRootReachability:
         assert det_lint(tmp_path, clean) == []
 
 
+class TestSeedParameters:
+    """A seed that flows in through ``**kwargs`` or a nested def's
+    parameter is derived, as the par pass already holds."""
+
+    KWARGS = {
+        "enc.py": """
+            import numpy as np
+
+            from repro.lint.det import replay_root
+            from repro.runtime import parallel_map
+
+            @replay_root("draws")
+            def draw(**options):
+                return np.random.default_rng(options["seed"]).random()
+
+            def run(items):
+                return parallel_map(draw, items)
+        """,
+    }
+
+    NESTED = {
+        "enc.py": """
+            import numpy as np
+
+            from repro.lint.det import replay_root
+
+            @replay_root("draws")
+            def draws(seeds):
+                def one(seed):
+                    return np.random.default_rng(seed).random()
+                return [one(seed) for seed in seeds]
+        """,
+    }
+
+    def test_kwargs_seed_is_derived(self, tmp_path):
+        write_tree(tmp_path, self.KWARGS)
+        assert main(["lint", "--det", "--par", str(tmp_path)]) == 0
+        assert lint_tree_det(tmp_path) == []
+
+    def test_nested_def_parameter_seed_is_derived(self, tmp_path):
+        write_tree(tmp_path, self.NESTED)
+        assert main(["lint", "--det", str(tmp_path)]) == 0
+        assert lint_tree_det(tmp_path) == []
+
+    def test_constant_seed_still_fires(self, tmp_path):
+        write_tree(tmp_path, {"enc.py": self.KWARGS["enc.py"].replace(
+            'options["seed"]', "42")})
+        findings = lint_tree_det(tmp_path)
+        assert [f.code for f in findings] == ["DAS409"]
+        assert "seeded from a constant" in findings[0].message
+
+
 class TestRootDeclarations:
     def test_das412_computed_label(self, tmp_path):
         findings = det_lint(tmp_path, COMPUTED_LABEL)

@@ -389,6 +389,33 @@ class TestKernelRules:
         assert [f.code for f in findings] == ["DAS312"]
         assert "not a string constant" in findings[0].message
 
+    def test_keyword_tier_declares_the_kernel(self, tmp_path):
+        findings = par_lint(tmp_path, {
+            "kern.py": """
+                from repro.columnar import equivalence_tier
+
+                @equivalence_tier(tier="ulp")
+                def scale(values, factor):
+                    values *= factor
+                    return values
+            """,
+        })
+        assert [f.code for f in findings] == ["DAS307"]
+        assert "ulp-tier kernel 'kern.scale'" in findings[0].message
+
+    def test_das312_bare_decorator_names_no_tier(self, tmp_path):
+        findings = par_lint(tmp_path, {
+            "kern.py": """
+                from repro.columnar import equivalence_tier
+
+                @equivalence_tier
+                def wrap(values):
+                    return values + 1
+            """,
+        })
+        assert [f.code for f in findings] == ["DAS312"]
+        assert "not a string constant" in findings[0].message
+
     def test_undeclared_function_is_not_a_kernel(self, tmp_path):
         assert par_lint(tmp_path, {
             "kern.py": """
