@@ -6,15 +6,16 @@ its import-time statements, with edges to the pseudo-nodes of the
 internal modules it imports — so import-time effects propagate exactly
 like call-time ones.
 
-Bodies are not walked here: the edges and events are resolved from the
+Bodies are not walked here: the edges and facts are resolved from the
 fact walk's record of each module (:mod:`repro.lint.flow.factwalk`).
 Call targets are resolved purely statically: through the module's
 import aliases, through package ``__init__`` re-exports (bounded alias
 chasing), through ``self.``-method lookup including internal base
 classes, and through constructor calls (``Class()`` edges to
-``Class.__init__``). Anything unresolvable inside the tree is recorded
-as an *external event* for the taint tables; over-approximation is
-preferred to silence throughout.
+``Class.__init__``). What stays outside the tree is classified on the
+spot into the function's direct impurity facts, by the classifiers the
+shallow rules use; over-approximation is preferred to silence
+throughout.
 """
 
 from __future__ import annotations
@@ -22,9 +23,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.flow.factwalk import ModuleFacts, Scope
+from repro.lint.flow.factwalk import Fact, ModuleFacts, Scope, sorted_facts
 from repro.lint.flow.modgraph import ModuleGraph, build_module_graph
-from repro.lint.pycheck import _dotted_name, _find_metadata_call
+from repro.lint.pycheck import (
+    _ENV_READS,
+    _classify_call,
+    _dotted_name,
+    _find_metadata_call,
+    _network_import,
+)
 
 #: Method names whose call on a container mutates it.
 _MUTATOR_METHODS = {
@@ -47,12 +54,13 @@ class FunctionInfo:
     lineno: int
     #: Resolved internal call/import edges: (callee qualname, line).
     calls: tuple[tuple[str, int], ...]
-    #: External events: ("call", dotted, line, has_args),
-    #: ("import", dotted, line), ("attr", dotted, line),
-    #: ("pathchain", method, line), ("global_write", name, line),
-    #: ("global_mutate", name.method, line), ("book", key, line),
-    #: ("tag", value, line).
-    events: tuple[tuple, ...]
+    #: Direct impurity facts: what it reaches outside the tree, and
+    #: its writes to module-level state.
+    facts: tuple[Fact, ...] = ()
+    #: Histogram keys booked through ``self.book("key", ...)``.
+    booked: tuple[str, ...] = ()
+    #: Conditions global tags it names (``GT-...``).
+    tags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -254,16 +262,25 @@ class _GraphBuilder:
 
     def _resolve_scope(self, module: str, facts: ModuleFacts,
                        scope: Scope) -> None:
-        """Edges and events of what runs when the scope runs; a
-        function's ``global`` names mark its name writes."""
+        """Edges, direct facts, booked keys and tags of what runs when
+        the scope runs; a function's ``global`` names mark its name
+        writes."""
         calls: list[tuple[str, int]] = []
-        events: list[tuple] = []
+        found: list[Fact] = []
+        booked: set[str] = set()
+        tags = {node.value for node in scope.executed(scope.tags)}
+        resolve = facts.aliases.resolve
+
+        def add(classified: tuple | None, line: int) -> None:
+            if classified is not None:
+                found.append(Fact(*classified, line))
+
         if scope.funcdef is None:
             node = self.modules.modules[module]
             calls.extend((f"{imported}:<module>", 0)
                          for imported in node.internal_imports)
-            events.extend(("import", dotted, line)
-                          for dotted, line in node.imports)
+            for dotted, line in node.imports:
+                add(_network_import(dotted), line)
         else:
             # Import-time effects of the defining module are visible to
             # every caller of the function: edge to the pseudo-node.
@@ -272,20 +289,52 @@ class _GraphBuilder:
             for dotted, resolved, candidate in facts.imported(node):
                 if not resolved or candidate:
                     continue
-                events.append(("import", dotted, node.lineno))
+                add(_network_import(dotted), node.lineno)
                 member = self.modules.resolve_module(dotted)
                 if member is not None and member != module:
                     calls.append((f"{member}:<module>", node.lineno))
         for node in scope.executed(scope.calls):
-            self._scan_call(module, facts, node, scope.class_name,
-                            calls, events)
+            for keyword in node.keywords:
+                if (keyword.arg == "global_tag"
+                        and isinstance(keyword.value, ast.Constant)
+                        and isinstance(keyword.value.value, str)):
+                    tags.add(keyword.value.value)
+            func, first = node.func, node.args[0] if node.args else None
+            dotted = _dotted_name(func)
+            if (dotted == "self.book" and scope.class_name is not None
+                    and isinstance(first, ast.Constant)
+                    and isinstance(first.value, str)):
+                booked.add(first.value)
+            # Mutation of a module-level container.
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in facts.mutable_names
+                    and func.attr in _MUTATOR_METHODS):
+                found.append(Fact(
+                    "global-write", "mutation of module-level container "
+                    f"{func.value.id}.{func.attr}", node.lineno))
+            # ``functools.partial(f, ...)`` freezes arguments but the
+            # call still lands in ``f``: edge through the wrapper so
+            # taint and worker-escape chains don't stop at the partial
+            # boundary.
+            if (first is not None and dotted is not None
+                    and resolve(dotted) == "functools.partial"
+                    and (wrapped := _dotted_name(first)) is not None):
+                inner = self.graph.resolve_call(module, wrapped,
+                                                scope.class_name)
+                if inner is not None:
+                    calls.append((inner, node.lineno))
+            target = (None if dotted is None else self.graph.resolve_call(
+                module, dotted, scope.class_name))
+            if target is not None:
+                calls.append((target, node.lineno))
+            else:
+                add(_classify_call(node, resolve), node.lineno)
         for node in scope.executed(scope.attributes):
             dotted = _dotted_name(node)
-            if dotted and facts.aliases.resolve(dotted) in (
-                "os.environ", "os.environb", "os.getenv",
-            ):
-                events.append(("attr", facts.aliases.resolve(dotted),
-                               node.lineno))
+            if dotted and (read := resolve(dotted)) in _ENV_READS:
+                found.append(Fact("env-read", f"environment read via {read}",
+                                  node.lineno))
         for node in scope.executed(scope.stores):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
@@ -293,74 +342,21 @@ class _GraphBuilder:
                 if (isinstance(target, ast.Name)
                         and scope.funcdef is not None
                         and target.id in scope.globals):
-                    events.append(("global_write", target.id,
-                                   node.lineno))
+                    found.append(Fact(
+                        "global-write",
+                        f"write to module-level name {target.id!r}",
+                        node.lineno))
                 elif (isinstance(target, ast.Subscript)
                       and isinstance(target.value, ast.Name)
                       and target.value.id in facts.mutable_names):
-                    events.append((
-                        "global_mutate",
-                        f"{target.value.id}[...]", node.lineno))
-        events.extend(("tag", node.value, node.lineno)
-                      for node in scope.executed(scope.tags))
+                    found.append(Fact(
+                        "global-write", "mutation of module-level "
+                        f"container {target.value.id}[...]", node.lineno))
         self.graph.functions[scope.qualname] = FunctionInfo(
             qualname=scope.qualname, module=module, lineno=scope.lineno,
-            calls=tuple(sorted(set(calls))),
-            events=tuple(sorted(set(events))),
+            calls=tuple(sorted(set(calls))), facts=sorted_facts(found),
+            booked=tuple(sorted(booked)), tags=tuple(sorted(tags)),
         )
-
-    def _scan_call(self, module: str, facts: ModuleFacts,
-                   node: ast.Call, class_name: str | None,
-                   calls: list, events: list) -> None:
-        dotted = _dotted_name(node.func)
-        has_args = bool(node.args)
-        for keyword in node.keywords:
-            if (keyword.arg == "global_tag"
-                    and isinstance(keyword.value, ast.Constant)
-                    and isinstance(keyword.value.value, str)):
-                events.append(("tag", keyword.value.value,
-                               node.lineno))
-        if dotted is None:
-            # Path("...").write_text(...)-style chains.
-            if (isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Call)):
-                receiver = _dotted_name(node.func.value.func)
-                if receiver is not None:
-                    events.append((
-                        "pathchain",
-                        f"{facts.aliases.resolve(receiver)}"
-                        f".{node.func.attr}", node.lineno))
-            return
-        if (dotted == "self.book" and class_name is not None
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)):
-            events.append(("book", node.args[0].value, node.lineno))
-        # Mutation of a module-level container.
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in facts.mutable_names
-                and node.func.attr in _MUTATOR_METHODS):
-            events.append(("global_mutate",
-                           f"{node.func.value.id}.{node.func.attr}",
-                           node.lineno))
-        # ``functools.partial(f, ...)`` freezes arguments but the call
-        # still lands in ``f``: edge through the wrapper so taint and
-        # worker-escape chains don't stop at the partial boundary.
-        if (facts.aliases.resolve(dotted) == "functools.partial"
-                and node.args):
-            wrapped = _dotted_name(node.args[0])
-            if wrapped is not None:
-                inner = self.graph.resolve_call(module, wrapped,
-                                               class_name)
-                if inner is not None:
-                    calls.append((inner, node.lineno))
-        target = self.graph.resolve_call(module, dotted, class_name)
-        if target is not None:
-            calls.append((target, node.lineno))
-            return
-        events.append(("call", facts.aliases.resolve(dotted),
-                       node.lineno, has_args))
 
 
 def build_call_graph(modules: ModuleGraph) -> CallGraph:

@@ -16,27 +16,11 @@ already report it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.factwalk import decorator_label
+from repro.lint.flow.factwalk import Fact, decorator_label, sorted_facts
 from repro.lint.pycheck import _ignored_codes_by_line
-
-
-@dataclass(frozen=True)
-class Fact:
-    """One direct fact of one kind inside one function."""
-
-    kind: str
-    description: str
-    line: int
-
-
-def sorted_facts(found) -> tuple[Fact, ...]:
-    """Distinct facts by line, kind and description."""
-    return tuple(sorted(set(found), key=lambda f: (f.line, f.kind,
-                                                   f.description)))
 
 
 def scope_facts(graph: CallGraph, classify) -> dict:

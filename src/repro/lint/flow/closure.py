@@ -49,13 +49,10 @@ def extract_closure_from_graph(graph: CallGraph,
             callee for callee, _ in graph.functions[qualname].calls
             if callee in graph.functions])
         reached |= functions
-        booked: set[str] = set()
-        for qualname in functions:
-            for event in graph.functions[qualname].events:
-                if event[0] == "book":
-                    booked.add(event[1])
-                elif event[0] == "tag":
-                    tags.add(event[1])
+        booked = set().union(*(graph.functions[qualname].booked
+                               for qualname in functions))
+        tags.update(*(graph.functions[qualname].tags
+                      for qualname in functions))
         analyses.append({
             "class": info.name,
             "qualname": info.qualname,

@@ -5,8 +5,9 @@ here. The walk files the nodes the deep passes read under the scope
 that owns them — ``module:func``, ``module:Class.method``, or the
 ``module:<module>`` pseudo-node for the code that runs at import —
 and no pass walks again: the module graph takes its imports from the
-record, the call graph resolves its edges and events from it, and the
-par and det scans are classification tables over it.
+record, the call graph resolves its edges and classifies its direct
+facts from it, and the par and det scans are classification tables
+over it.
 
 Every filed node is an entry ``(node, index, in_body, in_loop)``.
 ``index`` is the scope's top-level statement the node sits under; a
@@ -18,7 +19,8 @@ which is the order of one walk over the whole function; a stable sort
 on ``index`` gives the order of one walk per statement.
 
 The shared readers the par and det tables classify with sit here too:
-the RNG-call classifier and the decorator-label reader.
+the RNG-call classifier and the decorator-label reader. So does
+:class:`Fact`, the one record every pass classifies into.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.lint.pycheck import (
+    _ENV_READS,
     _NUMPY_RANDOM_SAFE,
     _dotted_name,
     _ImportMap,
@@ -59,6 +62,21 @@ _RNG_CONSTRUCTORS = {"default_rng", "Random", "RandomState", "Generator",
 _SEED_DERIVERS = {"derive_seed", "spawn"}
 
 
+@dataclass(frozen=True)
+class Fact:
+    """One direct fact of one kind inside one function."""
+
+    kind: str
+    description: str
+    line: int
+
+
+def sorted_facts(found) -> tuple[Fact, ...]:
+    """Distinct facts by line, kind and description."""
+    return tuple(sorted(set(found), key=lambda f: (f.line, f.kind,
+                                                   f.description)))
+
+
 @dataclass(eq=False, slots=True)
 class Scope:
     """The filed nodes of one function, or of one module's import-time
@@ -75,6 +93,7 @@ class Scope:
     #: Imports below the top level (the module's own import
     #: statements are :attr:`ModuleFacts.imports`).
     imports: list = field(default_factory=list)
+    #: Attribute chains, and bare names aliasing an environment read.
     attributes: list = field(default_factory=list)
     #: ``for`` loops and comprehensions.
     iterations: list = field(default_factory=list)
@@ -160,10 +179,13 @@ def _params(funcdef) -> list[str]:
     return names
 
 
-def _file(scope: Scope, node: ast.AST, entry: tuple) -> None:
+def _file(scope: Scope, node: ast.AST, entry: tuple,
+          aliases: _ImportMap) -> None:
     kind = type(node)
     if kind in _FILED:
         getattr(scope, _FILED[kind]).append(entry)
+    elif kind is ast.Name and aliases.alias_target(node.id) in _ENV_READS:
+        scope.attributes.append(entry)
     elif kind is ast.Global:
         scope.globals.extend(node.names)
     elif kind is ast.BinOp and isinstance(node.op, ast.Mod):
@@ -240,7 +262,7 @@ def walk_module(tree: ast.Module, module: str,
             continue
         entry = (node, index, in_body, in_loop)
         if scope is not None:
-            _file(scope, node, entry)
+            _file(scope, node, entry, facts.aliases)
         in_loop = in_loop or isinstance(node, _LOOPS)
         queue.extend((child, scope, index, in_body, in_loop)
                      for child in ast.iter_child_nodes(node))

@@ -2,9 +2,9 @@
 
 The single-file pass (``pycheck``) flags an impure statement where it
 stands. This pass asks the question preservation actually cares about:
-*can an Analysis entry point reach that statement?* Direct facts are
-classified from the call graph's external events using the same tables
-the shallow pass uses, then propagated backwards along call and
+*can an Analysis entry point reach that statement?* The call graph
+classifies each function's direct facts with the classifiers the
+shallow pass uses; they are propagated backwards along call and
 import edges by the chain engine the par and det passes share
 (:mod:`repro.lint.flow.chains`). Findings fire on the entry point,
 carrying the full propagation chain in the message.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, ClassInfo, analyze_tree
-from repro.lint.flow.chains import ChainAnalysis, Fact, sorted_facts
+from repro.lint.flow.chains import ChainAnalysis, Fact
 from repro.lint.flow.rules import (
     RULE_CLOSURE_UNRESOLVED,
     RULE_DEEP_ENV,
@@ -32,11 +32,6 @@ from repro.lint.flow.rules import (
     RULE_DEEP_NETWORK,
     RULE_DEEP_RANDOM,
     RULE_DEEP_WALLCLOCK,
-)
-from repro.lint.pycheck import (
-    _NETWORK_MODULES,
-    _classify_call,
-    _classify_path_chain,
 )
 
 #: The impurity kinds the deep pass propagates: their deep rule and the
@@ -58,43 +53,10 @@ _KIND_CODES = {kind: {rule.code, shallow_code}
                for kind, (rule, shallow_code) in _KIND_RULES.items()}
 
 
-def _classify_event(event: tuple) -> tuple | None:
-    """(kind, description) of one call-graph event, if impure."""
-    tag = event[0]
-    if tag == "call":
-        return _classify_call(event[1], event[3])
-    if tag == "import":
-        root = event[1].split(".")[0]
-        if root in _NETWORK_MODULES:
-            return ("network",
-                    f"import of network module {event[1]!r}")
-        return None
-    if tag == "attr":
-        return "env-read", f"environment read via {event[1]}"
-    if tag == "pathchain":
-        receiver, _, method = event[1].rpartition(".")
-        return _classify_path_chain(receiver, method)
-    if tag == "global_write":
-        return ("global-write",
-                f"write to module-level name {event[1]!r}")
-    if tag == "global_mutate":
-        return ("global-write",
-                f"mutation of module-level container {event[1]}")
-    return None
-
-
 def direct_facts(graph: CallGraph) -> dict[str, tuple[Fact, ...]]:
     """Per-function direct impurity facts, before waivers."""
-    facts: dict[str, tuple[Fact, ...]] = {}
-    for qualname, info in graph.functions.items():
-        found = []
-        for event in info.events:
-            classified = _classify_event(event)
-            if classified is not None:
-                found.append(Fact(*classified, event[2]))
-        if found:
-            facts[qualname] = sorted_facts(found)
-    return facts
+    return {qualname: info.facts
+            for qualname, info in graph.functions.items() if info.facts}
 
 
 class _DeepAnalysis(ChainAnalysis):

@@ -138,20 +138,47 @@ _PATH_METHODS = {
 }
 
 
-def _classify_call(dotted: str, has_args: bool) -> tuple | None:
-    """(kind, description) of one resolved call, if impure.
+#: Resolved names whose read reads the environment.
+_ENV_READS = frozenset({"os.environ", "os.environb", "os.getenv"})
 
-    The shallow rules and the deep pass's taint facts share it.
+
+def _network_import(module: str) -> tuple | None:
+    """(kind, description) of an import of ``module``, if a network
+    module."""
+    if module.split(".")[0] in _NETWORK_MODULES:
+        return "network", f"import of network module {module!r}"
+    return None
+
+
+def _classify_call(node: ast.Call, resolve) -> tuple | None:
+    """(kind, description) of one call, if impure.
+
+    The callee, or the receiver of a ``Path(...).method()`` chain, is
+    resolved through ``resolve``. The shallow rules and the call
+    graph's direct facts share it.
     """
+    dotted = _dotted_name(node.func)
+    if dotted is None:
+        # Path("...").write_text(...)-style chains.
+        if (isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Call)):
+            receiver = _dotted_name(node.func.value.func)
+            method = node.func.attr
+            if (receiver is not None and method in _PATH_METHODS
+                    and resolve(receiver) in ("pathlib.Path", "Path")):
+                return ("filesystem",
+                        f"Path(...).{method}() outside the archive API")
+        return None
+    dotted = resolve(dotted)
     if dotted in _WALLCLOCK_CALLS:
         return "wall-clock", f"wall-clock call {dotted}()"
-    if dotted == "random.Random" and not has_args:
+    if dotted == "random.Random" and not node.args:
         return ("unseeded-rng",
                 "random.Random() constructed without a seed")
     if dotted.startswith("random.") and dotted != "random.Random":
         return ("unseeded-rng",
                 f"call to module-global RNG {dotted}()")
-    if dotted == "numpy.random.default_rng" and not has_args:
+    if dotted == "numpy.random.default_rng" and not node.args:
         return ("unseeded-rng",
                 "numpy.random.default_rng() without a seed")
     if dotted.startswith("numpy.random."):
@@ -169,15 +196,6 @@ def _classify_call(dotted: str, has_args: bool) -> tuple | None:
         return "filesystem", f"filesystem call {dotted}()"
     if dotted in ("os.getenv", "os.environ.get"):
         return "env-read", f"environment read via {dotted}()"
-    return None
-
-
-def _classify_path_chain(receiver: str, method: str) -> tuple | None:
-    """(kind, description) of a ``Path(...).method()`` call, if it
-    touches the filesystem; ``receiver`` is resolved."""
-    if receiver in ("pathlib.Path", "Path") and method in _PATH_METHODS:
-        return ("filesystem",
-                f"Path(...).{method}() outside the archive API")
     return None
 
 
@@ -239,21 +257,15 @@ class _ImportMap:
     ``package`` is the dotted package containing the module being
     checked; when given, relative imports (``from . import x``,
     ``from ..sub import y``) resolve to absolute module paths instead
-    of being dropped. Every module path named by an import statement —
-    including ``import a.b`` submodule forms, whose *binding* is only
-    the root ``a`` — is remembered in :meth:`imported_modules` so the
-    interprocedural layer can build a faithful import graph.
+    of being dropped.
     """
 
     def __init__(self, package: str = "") -> None:
         self._aliases: dict[str, str] = {}
-        self._modules: dict[str, int] = {}
         self.package = package
 
     def visit_import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self._modules.setdefault(alias.name,
-                                     getattr(node, "lineno", 0))
             if alias.asname:
                 # ``import a.b as c`` binds the full dotted submodule
                 # to the alias — resolving through it must yield
@@ -267,7 +279,6 @@ class _ImportMap:
         base = self._absolute_base(node.module, node.level)
         if base is None:
             return
-        self._modules.setdefault(base, getattr(node, "lineno", 0))
         for alias in node.names:
             if alias.name == "*":
                 continue
@@ -288,10 +299,6 @@ class _ImportMap:
         if module:
             base_parts.append(module)
         return ".".join(base_parts) if base_parts else None
-
-    def imported_modules(self) -> list[tuple[str, int]]:
-        """Every absolute module path imported, with its first line."""
-        return sorted(self._modules.items())
 
     def alias_target(self, name: str) -> str | None:
         """The dotted path a bare local name aliases, if any."""
@@ -374,32 +381,29 @@ class _SourceChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self.imports.visit_import_from(node)
-        if node.module is not None:
+        if node.level:
+            # A relative import names a module of the file's own
+            # package, never a top-level one: its names resolve to the
+            # import as written, which matches no rule.
+            prefix = "." * node.level + (f"{node.module}."
+                                         if node.module else "")
+            self.imports._aliases.update(
+                (alias.asname or alias.name, prefix + alias.name)
+                for alias in node.names if alias.name != "*")
+        else:
+            self.imports.visit_import_from(node)
             self._check_network_module(node.module, node)
         self.generic_visit(node)
 
     def _check_network_module(self, module: str, node: ast.AST) -> None:
-        root = module.split(".")[0]
-        if root in _NETWORK_MODULES:
-            self._emit(RULE_NETWORK,
-                       f"import of network module {module!r}", node)
+        classified = _network_import(module)
+        if classified is not None:
+            self._emit(RULE_NETWORK, classified[1], node)
 
     # -- calls ---------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
-        classified = None
-        if dotted:
-            classified = _classify_call(self.imports.resolve(dotted),
-                                        bool(node.args))
-        elif (isinstance(node.func, ast.Attribute)
-              and isinstance(node.func.value, ast.Call)):
-            # Path("...").write_text(...)-style chains.
-            receiver = _dotted_name(node.func.value.func)
-            if receiver is not None:
-                classified = _classify_path_chain(
-                    self.imports.resolve(receiver), node.func.attr)
+        classified = _classify_call(node, self.imports.resolve)
         if classified is not None and classified[0] in _CALL_RULES:
             kind, description = classified
             self._emit(_CALL_RULES[kind], description, node)
@@ -409,12 +413,15 @@ class _SourceChecker(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         dotted = _dotted_name(node)
-        if dotted and self.imports.resolve(dotted) in (
-            "os.environ", "os.environb", "os.getenv",
-        ):
+        if dotted and self.imports.resolve(dotted) in _ENV_READS:
             self._emit(RULE_ENV,
                        f"environment read via {dotted}", node)
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        # ``from os import environ``: the bare name reads it too.
+        if self.imports.alias_target(node.id) in _ENV_READS:
+            self._emit(RULE_ENV, f"environment read via {node.id}", node)
 
     # -- exception handling --------------------------------------------
 

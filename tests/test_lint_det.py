@@ -229,6 +229,29 @@ class TestRootReachability:
         findings = det_lint(tmp_path, ENV_READ)
         assert [f.code for f in findings] == ["DAS407"]
 
+    @pytest.mark.parametrize("read", [
+        'os.environ["USER"]', 'environ["USER"]', 'environ.get("USER")',
+        'getenv("USER")',
+    ])
+    def test_das407_environment_read_through_an_alias(self, tmp_path,
+                                                      read):
+        findings = det_lint(tmp_path, {"enc.py": f"""
+            import os
+            from os import environ, getenv
+
+            from repro.lint.det import replay_root
+
+            def user():
+                return {read}
+
+            @replay_root("report")
+            def dump(fields):
+                fields["user"] = user()
+                return str(fields)
+        """})
+        assert [f.code for f in findings] == ["DAS407"]
+        assert "enc.dump -> enc.user" in findings[0].message
+
     def test_das408_float_format(self, tmp_path):
         findings = det_lint(tmp_path, FLOAT_FORMAT)
         assert [f.code for f in findings] == ["DAS408"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import textwrap
 
@@ -245,6 +246,95 @@ class TestRecastCheck:
         findings = check_manifest_against_recast(manifest, regions)
         assert [f.code for f in findings] == ["DAS212"]
         assert findings[0].artifact == "TOY-EXO-002"
+
+
+#: Where book keys and tags come from: a ``global_tag=`` keyword, a
+#: ``GT-`` constant that only an unreachable function holds, and
+#: ``book(...)`` calls outside any method.
+TAGGED = {
+    "base.py": """
+        class Analysis:
+            def book(self, key, *bins):
+                return key
+
+        class AnalysisMetadata:
+            def __init__(self, name, inspire_id=""):
+                self.name = name
+    """,
+    "conditions.py": """
+        def load(global_tag):
+            return global_tag
+
+        def unreachable():
+            return "GT-NEVER"
+    """,
+    "helpers.py": """
+        def book(key):
+            return key
+
+        def fill(self):
+            book("free")
+            self.book("outside")
+            return self
+    """,
+    "analysis.py": """
+        from base import Analysis, AnalysisMetadata
+        import conditions
+        import helpers
+
+        class TaggedAnalysis(Analysis):
+            metadata = AnalysisMetadata(name="TOY_2014_TAGS")
+
+            def init(self):
+                self.book("pt", 10, 0.0, 100.0)
+                return conditions.load(global_tag="GT-KEYWORD")
+
+            def analyze(self, event):
+                self.book("eta")
+                return helpers.fill(self)
+    """,
+}
+
+#: SHA-256 of ``ClosureManifest.to_json_bytes()`` per tree, each built
+#: under a directory named ``tree`` (the manifest records the anchor's
+#: name); they must never move without a reviewed reason.
+MANIFEST_PINS = {
+    "closure_tree":
+        "88975ff9246105f87bbad8190727f795f303d5a78d683c36238701a2eb8d6326",
+    "corpus_seed_1":
+        "9ddece5afdb6a202fbff8f1793defb9bd3d47e4490dcac7e84484b184c4feb29",
+    "corpus_seed_2":
+        "ce74d4c424ab05bcfb58c37f6d236ccb6312eb3813d77cefb72223b8335dd273",
+    "corpus_seed_3":
+        "02fa451e5de83ba3255f9c4d00c99651c4408632ef4d59effe30c6922e100c7d",
+    "tagged_tree":
+        "86c5a91bb4769a09b9d2986905f6bf470b79f6fc3835fcdf22ed29372341600a",
+}
+
+
+def _build_pinned(name: str, root) -> None:
+    from perfbench.corpus import write_corpus
+
+    if name.startswith("corpus_seed_"):
+        write_corpus(root, int(name.rpartition("_")[2]))
+    else:
+        write_tree(root, TREE if name == "closure_tree" else TAGGED)
+
+
+class TestManifestPins:
+    @pytest.mark.parametrize("name", sorted(MANIFEST_PINS))
+    def test_manifest_matches_pinned_digest(self, name, tmp_path):
+        root = tmp_path / "tree"
+        _build_pinned(name, root)
+        payload = extract_closure(root).to_json_bytes()
+        assert hashlib.sha256(payload).hexdigest() == MANIFEST_PINS[name]
+
+    def test_tagged_tree_collects_keys_and_tags(self, tmp_path):
+        write_tree(tmp_path, TAGGED)
+        manifest = extract_closure(tmp_path)
+        assert manifest.conditions_tags == ("GT-KEYWORD",)
+        [analysis] = manifest.analyses
+        assert analysis["booked_keys"] == ["eta", "pt"]
 
 
 if __name__ == "__main__":

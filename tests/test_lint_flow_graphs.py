@@ -102,10 +102,12 @@ class TestImportMapRegressions:
         assert imports.alias_target("p") == "os.path"
         assert imports.resolve("p.join") == "os.path.join"
 
-    def test_dotted_import_without_alias_binds_root(self):
+    def test_dotted_import_without_alias_binds_root(self, tmp_path):
         imports = self.parse("import os.path\n")
         assert imports.resolve("os.path.join") == "os.path.join"
-        assert ("os.path", 1) in imports.imported_modules()
+        write_tree(tmp_path, {"mod.py": "import os.path\n"})
+        graph = build_module_graph(tmp_path)
+        assert ("os.path", 1) in graph.modules["mod"].imports
 
     def test_relative_from_import_uses_package(self):
         imports = self.parse("from . import util\n", package="pkg.sub")
@@ -116,10 +118,13 @@ class TestImportMapRegressions:
                              package="pkg.sub")
         assert imports.alias_target("io") == "pkg.core.io"
 
-    def test_relative_import_without_package_is_dropped(self):
+    def test_relative_import_without_package_is_dropped(self, tmp_path):
         imports = self.parse("from . import util\n")
         assert imports.alias_target("util") is None
-        assert imports.imported_modules() == []
+        # Outside a package the import is only named as written.
+        write_tree(tmp_path, {"mod.py": "from . import util\n"})
+        graph = build_module_graph(tmp_path)
+        assert graph.modules["mod"].imports == ((".", 1),)
 
     def test_from_import_alias(self):
         imports = self.parse("from json import dumps as d\n")

@@ -142,6 +142,34 @@ class TestTaintKinds:
         finding = next(f for f in findings if f.code == "DAS205")
         assert finding.severity.name == "WARNING"
 
+    @pytest.mark.parametrize("read", [
+        'os.environ["GLOBAL_TAG"]', 'environ["GLOBAL_TAG"]',
+        'environ.get("GLOBAL_TAG")', 'getenv("GLOBAL_TAG")',
+    ])
+    def test_env_read_through_an_alias(self, tmp_path, read):
+        write_tree(tmp_path, {
+            "base.py": BASE,
+            "analysis.py": """
+                from base import Analysis
+                import helpers
+
+                class TagAnalysis(Analysis):
+                    def init(self):
+                        self.tag = helpers.tag()
+            """,
+            "helpers.py": f"""
+                import os
+                from os import environ, getenv
+
+                def tag():
+                    return {read}
+            """,
+        })
+        [finding] = [f for f in lint_tree_deep(tmp_path)
+                     if f.code == "DAS205"]
+        assert "environment read via os." in finding.message
+        assert "helpers.py:6" in finding.message
+
     def test_import_time_impurity_propagates(self, tmp_path):
         # The hazard sits in a module body executed at import time, not
         # in any function the entry calls directly.

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_source
+import pytest
+
+from repro.cli import main
+from repro.lint import lint_source, lint_source_file, lint_tree_deep
 
 
 def codes(source: str) -> list[str]:
@@ -114,6 +117,51 @@ def test_das003_triggers_on_from_import():
     assert "DAS003" in codes(source)
 
 
+def _package_with_http(tmp_path, mod: str):
+    """A package with its own ``http`` module and one importer."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "http.py").write_text(
+        "def helper():\n    return 1\n", encoding="utf-8")
+    (package / "mod.py").write_text(textwrap.dedent(mod),
+                                    encoding="utf-8")
+    return package / "mod.py"
+
+
+@pytest.mark.parametrize("mod", [
+    """
+    from .http import helper
+
+    def run():
+        return helper()
+    """,
+    """
+    from . import http
+
+    def run():
+        return http.helper()
+    """,
+], ids=["from_module", "from_package"])
+def test_das003_clean_on_relative_import_of_a_package_module(tmp_path,
+                                                              mod):
+    target = _package_with_http(tmp_path, mod)
+    assert lint_source_file(target) == []
+    assert main(["lint", str(target)]) == 0
+    assert lint_tree_deep(target) == []
+
+
+def test_das003_relative_name_rebound_by_an_absolute_import():
+    source = """
+    from . import http
+    import http
+
+    def fetch():
+        return http.client.HTTPConnection("example.org")
+    """
+    assert codes(source) == ["DAS003", "DAS003"]
+
+
 def test_das003_clean_on_stdlib_math():
     source = """
     import math
@@ -187,6 +235,29 @@ def test_das005_triggers_on_getenv():
         return os.getenv("GLOBAL_TAG", "GT-FINAL")
     """
     assert "DAS005" in codes(source)
+
+
+@pytest.mark.parametrize("read", [
+    'environ["CUT_GEV"]', 'environ.get("CUT_GEV")', 'getenv("CUT_GEV")',
+])
+def test_das005_triggers_on_from_import_alias(read):
+    source = f"""
+    from os import environ, getenv
+
+    def threshold():
+        return float({read})
+    """
+    assert codes(source) == ["DAS005"]
+
+
+def test_das005_clean_on_relative_environ():
+    source = """
+    from .os import environ
+
+    def threshold():
+        return environ["CUT_GEV"]
+    """
+    assert codes(source) == []
 
 
 def test_das005_clean_on_os_path_use():
