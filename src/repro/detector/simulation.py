@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.detector.geometry import DetectorGeometry
+from repro.detector.geometry import DetectorGeometry, SubDetector
 from repro.detector.response import CaloResponse, EfficiencyCurve
 from repro.generation.hepmc import GenEvent, GenParticle
 from repro.kinematics import FourVector, ParticleTable, default_particle_table
@@ -169,6 +169,7 @@ class DetectorSimulation:
         )
         tracker = self.geometry.tracker
         muon_system = self.geometry.muon_system
+        ecal, hcal = self.geometry.ecal, self.geometry.hcal
 
         for particle in event.final_state():
             if not self._is_visible(particle):
@@ -212,12 +213,12 @@ class DetectorSimulation:
                         ))
 
             # Calorimeter deposits.
-            self._deposit(sim_event, particle, is_muon)
+            self._deposit(sim_event, particle, is_muon, ecal, hcal)
 
         return sim_event
 
     def _deposit(self, sim_event: SimulatedEvent, particle: GenParticle,
-                 is_muon: bool) -> None:
+                 is_muon: bool, ecal: SubDetector, hcal: SubDetector) -> None:
         """Deposit the particle's energy into the calorimeters."""
         rng = self._rng
         momentum = particle.momentum
@@ -227,8 +228,6 @@ class DetectorSimulation:
         if math.isinf(eta):
             return
         abs_id = abs(particle.pdg_id)
-        ecal = self.geometry.ecal
-        hcal = self.geometry.hcal
         config = self.config
 
         if is_muon:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from repro.detector.digitization import CaloCellHit
-from repro.detector.geometry import DetectorGeometry
+from repro.detector.geometry import DetectorGeometry, SubDetector
 from repro.errors import ReconstructionError
 from repro.kinematics import FourVector
 
@@ -59,18 +59,9 @@ class CaloClusterer:
                  config: ClustererConfig | None = None) -> None:
         self.geometry = geometry
         self.config = config if config is not None else ClustererConfig()
-
-    def _cell_center(self, subdetector_name: str, ieta: int,
-                     iphi: int) -> tuple[float, float]:
-        sub = self.geometry.subdetectors[subdetector_name]
-        if sub.eta_cells == 0 or sub.phi_cells == 0:
-            raise ReconstructionError(
-                f"{subdetector_name} has no cell granularity"
-            )
-        eta = -sub.eta_max + (ieta + 0.5) * (2.0 * sub.eta_max
-                                             / sub.eta_cells)
-        phi = -math.pi + (iphi + 0.5) * (2.0 * math.pi / sub.phi_cells)
-        return eta, phi
+        self._cells = {name: _CellTable(sub)
+                       for name, sub in geometry.subdetectors.items()
+                       if sub.eta_cells != 0 and sub.phi_cells != 0}
 
     def cluster(self, calo_hits: list[CaloCellHit],
                 subdetector_name: str, energy_scale: float = 1.0) -> list[CaloCluster]:
@@ -85,6 +76,7 @@ class CaloClusterer:
                 f"energy scale must be positive, got {energy_scale}"
             )
         sub = self.geometry.subdetectors[subdetector_name]
+        cells = self._cells.get(subdetector_name)
         grid: dict[tuple[int, int], float] = {}
         for hit in calo_hits:
             if hit.subdetector != subdetector_name:
@@ -106,25 +98,33 @@ class CaloClusterer:
                 break
             if not self._is_local_maximum(grid, sub.phi_cells, ieta, iphi):
                 continue
+            # Every seed that gets here sums at least itself, so this is
+            # where a per-cell centre lookup would first fail.
+            if cells is None:
+                raise ReconstructionError(
+                    f"{subdetector_name} has no cell granularity"
+                )
             total = 0.0
             weighted_eta = 0.0
             weighted_phi_x = 0.0
             weighted_phi_y = 0.0
             n_cells = 0
             for d_eta in (-1, 0, 1):
+                cell_ieta = ieta + d_eta
+                cell_eta = cells.eta_low + (cell_ieta + 0.5) * cells.eta_step
                 for d_phi in (-1, 0, 1):
-                    neighbour = (ieta + d_eta, (iphi + d_phi) % sub.phi_cells)
-                    if neighbour in claimed or neighbour not in grid:
+                    cell_iphi = (iphi + d_phi) % sub.phi_cells
+                    neighbour = (cell_ieta, cell_iphi)
+                    if neighbour in claimed:
                         continue
-                    cell_energy = grid[neighbour]
-                    cell_eta, cell_phi = self._cell_center(
-                        subdetector_name, neighbour[0], neighbour[1]
-                    )
+                    cell_energy = grid.get(neighbour)
+                    if cell_energy is None:
+                        continue
                     total += cell_energy
                     weighted_eta += cell_energy * cell_eta
                     # Average phi on the circle to dodge the wrap.
-                    weighted_phi_x += cell_energy * math.cos(cell_phi)
-                    weighted_phi_y += cell_energy * math.sin(cell_phi)
+                    weighted_phi_x += cell_energy * cells.cos_phi[cell_iphi]
+                    weighted_phi_y += cell_energy * cells.sin_phi[cell_iphi]
                     n_cells += 1
                     claimed.add(neighbour)
             if total < self.config.cluster_min_energy:
@@ -150,3 +150,24 @@ class CaloClusterer:
                 if grid.get(neighbour, 0.0) > energy:
                     return False
         return True
+
+
+class _CellTable:
+    """Cell-centre geometry of one calorimeter, computed once.
+
+    A cell's centre is ``eta = -eta_max + (ieta + 0.5) * eta_step`` and
+    ``phi = -pi + (iphi + 0.5) * (2 pi / phi_cells)``; the table keeps
+    the eta step and the cosine and sine of every phi centre, which are
+    the same doubles a per-cell computation gives.
+    """
+
+    __slots__ = ("eta_low", "eta_step", "cos_phi", "sin_phi")
+
+    def __init__(self, sub: SubDetector) -> None:
+        self.eta_low = -sub.eta_max
+        self.eta_step = 2.0 * sub.eta_max / sub.eta_cells
+        phi_step = 2.0 * math.pi / sub.phi_cells
+        centres = [-math.pi + (iphi + 0.5) * phi_step
+                   for iphi in range(sub.phi_cells)]
+        self.cos_phi = [math.cos(phi) for phi in centres]
+        self.sin_phi = [math.sin(phi) for phi in centres]

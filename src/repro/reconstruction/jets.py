@@ -35,29 +35,31 @@ class ConeJetFinder:
 
     def find(self, clusters: list[CaloCluster]) -> list[Jet]:
         """Cluster calorimeter clusters into jets."""
-        remaining = sorted(clusters, key=lambda c: c.p4().pt, reverse=True)
+        # (cluster, four-momentum) per input: each four-momentum is
+        # built once, not once per sort comparison and cone iteration.
+        remaining = sorted(((c, c.p4()) for c in clusters),
+                           key=lambda entry: entry[1].pt, reverse=True)
         jets = []
         while remaining:
-            seed = remaining[0]
-            seed_p4 = seed.p4()
+            seed, seed_p4 = remaining[0]
             if seed_p4.pt < self.config.seed_et:
                 break
             axis_eta = seed.eta
             axis_phi = seed.phi
-            members: list[CaloCluster] = []
+            members: list[tuple[CaloCluster, FourVector]] = []
             # Iterate the cone axis to stability.
             for _ in range(self.config.max_iterations):
                 members = [
-                    c for c in remaining
-                    if math.hypot(c.eta - axis_eta,
-                                  delta_phi(c.phi, axis_phi))
+                    entry for entry in remaining
+                    if math.hypot(entry[0].eta - axis_eta,
+                                  delta_phi(entry[0].phi, axis_phi))
                     < self.config.cone_radius
                 ]
                 if not members:
                     break
                 total = FourVector.zero()
-                for member in members:
-                    total = total + member.p4()
+                for _, p4 in members:
+                    total = total + p4
                 new_eta = total.eta
                 new_phi = total.phi
                 if (abs(new_eta - axis_eta) < 1e-4
@@ -70,12 +72,13 @@ class ConeJetFinder:
                 continue
             total = FourVector.zero()
             em_energy = 0.0
-            for member in members:
-                total = total + member.p4()
+            for member, p4 in members:
+                total = total + p4
                 if member.subdetector == "ecal":
                     em_energy += member.energy
-            member_ids = {id(m) for m in members}
-            remaining = [c for c in remaining if id(c) not in member_ids]
+            member_ids = {id(m) for m, _ in members}
+            remaining = [entry for entry in remaining
+                         if id(entry[0]) not in member_ids]
             if total.pt < self.config.jet_min_pt:
                 continue
             em_fraction = em_energy / total.e if total.e > 0.0 else 0.0

@@ -36,6 +36,8 @@ PION_MASS = 0.13957
 #: Transverse momentum assigned when curvature is consistent with zero.
 _MAX_PT = 10000.0
 
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class Track:
@@ -110,109 +112,110 @@ class TrackFinder:
 
     def find(self, hits: list[TrackerHit]) -> list[Track]:
         """Reconstruct all tracks from an event's tracker hits."""
-        if len(hits) < self.config.min_hits:
+        config = self.config
+        if len(hits) < config.min_hits:
             return []
-        r = np.array([h.r_mm for h in hits])
-        phi = np.array([h.phi for h in hits])
-        z = np.array([h.z_mm for h in hits])
-        layer = np.array([h.layer for h in hits])
-        used = np.zeros(len(hits), dtype=bool)
+        table = _HitTable(hits, self.geometry.tracker.hit_resolution_mm,
+                          config)
+        used = [False] * len(hits)
         tracks = []
 
         # Seed from the two outermost layers that have hits; fall back to
         # progressively inner pairs so short/low-pt tracks still seed.
-        layers_present = sorted(set(layer.tolist()), reverse=True)
+        layers_present = sorted(table.by_layer, reverse=True)
         for i_outer, outer_layer in enumerate(layers_present[:-1]):
             inner_layer = layers_present[i_outer + 1]
-            outer_indices = np.where((layer == outer_layer) & ~used)[0]
-            inner_indices = np.where((layer == inner_layer) & ~used)[0]
+            outer_indices = [i for i in table.by_layer[outer_layer]
+                             if not used[i]]
+            inner_indices = [i for i in table.by_layer[inner_layer]
+                             if not used[i]]
             for seed_outer in outer_indices:
                 if used[seed_outer]:
                     continue
                 for seed_inner in inner_indices:
                     if used[seed_inner] or used[seed_outer]:
                         continue
-                    track = self._try_seed(
-                        seed_outer, seed_inner, r, phi, z, layer, used
-                    )
+                    track = self._try_seed(seed_outer, seed_inner, table,
+                                           used)
                     if track is not None:
                         tracks.append(track)
         return tracks
 
-    def _try_seed(self, i1: int, i2: int, r, phi, z, layer,
-                  used) -> Track | None:
+    def _try_seed(self, i1: int, i2: int, table: _HitTable,
+                  used: list[bool]) -> Track | None:
         """Grow and fit a candidate from a two-hit seed; mark hits used."""
-        r1, r2 = r[i1], r[i2]
+        config = self.config
+        r_list, phi_list, z_list = table.r_list, table.phi_list, table.z_list
+        r1, r2 = r_list[i1], r_list[i2]
         if r1 == r2:
             return None
-        dphi = wrap_phi(phi[i1] - phi[i2])
+        dphi = wrap_phi(phi_list[i1] - phi_list[i2])
         slope_phi = dphi / (r1 - r2)
         # Reject seeds implying unphysically low pt.
-        max_slope = KAPPA * self._bfield / (2.0 * self.config.min_pt)
+        max_slope = KAPPA * self._bfield / (2.0 * config.min_pt)
         if abs(slope_phi) > max_slope:
             return None
-        intercept_phi = phi[i2] - slope_phi * r2
-        slope_z = (z[i1] - z[i2]) / (r1 - r2)
-        intercept_z = z[i2] - slope_z * r2
+        intercept_phi = phi_list[i2] - slope_phi * r2
+        slope_z = (z_list[i1] - z_list[i2]) / (r1 - r2)
+        intercept_z = z_list[i2] - slope_z * r2
 
-        predicted_phi = intercept_phi + slope_phi * r
-        predicted_z = intercept_z + slope_z * r
-        residual_phi = np.abs(
-            np.mod(phi - predicted_phi + math.pi, 2.0 * math.pi) - math.pi
-        )
-        residual_z = np.abs(z - predicted_z)
-        phi_window = self.config.phi_road
-        if self.config.d0_allowance_mm > 0.0:
-            phi_window = phi_window + self.config.d0_allowance_mm / r
-        in_road = (
-            (residual_phi < phi_window)
-            & (residual_z < self.config.z_road_mm)
-            & ~used
-        )
+        # The road, hit by hit: the same residuals a vectorised pass over
+        # every hit computes (Python's float ``%`` is numpy's ``mod``).
+        z_road = config.z_road_mm
+        layer = table.layer
         # One hit per layer: keep the best residual on each layer.
-        candidate_indices = np.where(in_road)[0]
-        best_per_layer: dict[int, int] = {}
-        for index in candidate_indices:
-            this_layer = int(layer[index])
-            current = best_per_layer.get(this_layer)
-            if current is None or residual_phi[index] < residual_phi[current]:
-                best_per_layer[this_layer] = int(index)
-        chosen = sorted(best_per_layer.values())
-        if len(chosen) < self.config.min_hits:
+        best_per_layer: dict[int, tuple[float, int]] = {}
+        for index, (r, phi, z, window) in enumerate(zip(
+                r_list, phi_list, z_list, table.phi_window)):
+            if used[index]:
+                continue
+            if not abs(z - (intercept_z + slope_z * r)) < z_road:
+                continue
+            residual = abs(
+                (phi - (intercept_phi + slope_phi * r) + math.pi) % _TWO_PI
+                - math.pi
+            )
+            if not residual < window:
+                continue
+            current = best_per_layer.get(layer[index])
+            if current is None or residual < current[0]:
+                best_per_layer[layer[index]] = (residual, index)
+        if len(best_per_layer) < config.min_hits:
             return None
-        track = self._fit(r[chosen], phi[chosen], z[chosen])
+        chosen = sorted(index for _, index in best_per_layer.values())
+        track = self._fit(table, chosen)
         if track is None:
             return None
-        used[chosen] = True
+        for index in chosen:
+            used[index] = True
         return track
 
-    def _fit(self, r: np.ndarray, phi: np.ndarray,
-             z: np.ndarray) -> Track | None:
+    def _fit(self, table: _HitTable, chosen: list[int]) -> Track | None:
         """Linear least-squares helix fit over the chosen hits."""
-        n = len(r)
+        n = len(chosen)
         # Unwrap phi around the first hit so the linear fit is valid near
         # the +-pi boundary.
-        reference = phi[0]
-        unwrapped = reference + np.array(
-            [wrap_phi(p - reference) for p in phi]
-        )
-        basis = np.column_stack([np.ones(n), 1.0 / r, r])
-        sigma_phi = self.geometry.tracker.hit_resolution_mm / r
-        weights = 1.0 / sigma_phi
+        phi_list, weights = table.phi_list, table.weights
+        reference = phi_list[chosen[0]]
+        weighted_phi = np.array([
+            (reference + wrap_phi(phi_list[i] - reference)) * weights[i]
+            for i in chosen
+        ])
+        rows = np.array(chosen)
         coeffs, residuals, rank, _ = np.linalg.lstsq(
-            basis * weights[:, None], unwrapped * weights, rcond=None
+            table.phi_rows.take(rows, axis=0), weighted_phi, rcond=None
         )
         if rank < 3:
             return None
-        phi0, d0, curvature = coeffs
+        phi0, d0, curvature = coeffs.tolist()
         chi2 = float(residuals[0]) if residuals.size else 0.0
 
-        z_basis = np.column_stack([np.ones(n), r])
-        z_coeffs, z_residuals, _, _ = np.linalg.lstsq(z_basis, z, rcond=None)
-        z0, slope_z = z_coeffs
-        sigma_z = 3.0 * self.geometry.tracker.hit_resolution_mm
+        z_coeffs, z_residuals, _, _ = np.linalg.lstsq(
+            table.z_rows.take(rows, axis=0), table.z.take(rows), rcond=None
+        )
+        z0, slope_z = z_coeffs.tolist()
         if z_residuals.size:
-            chi2 += float(z_residuals[0]) / sigma_z**2
+            chi2 += float(z_residuals[0]) / table.sigma_z**2
 
         dof = max(1, 2 * n - 5)
         if chi2 / dof > self.config.max_chi2_per_dof:
@@ -227,17 +230,57 @@ class TrackFinder:
             charge = -1 if curvature > 0.0 else 1
         if pt < self.config.min_pt:
             return None
-        eta = math.asinh(slope_z)
         return Track(
-            pt=float(pt),
-            eta=float(eta),
-            phi=float(wrap_phi(phi0)),
+            pt=pt,
+            eta=math.asinh(slope_z),
+            phi=wrap_phi(phi0),
             charge=charge,
-            d0_mm=float(d0),
-            z0_mm=float(z0),
-            chi2=float(chi2),
+            d0_mm=d0,
+            z0_mm=z0,
+            chi2=chi2,
             n_hits=n,
         )
+
+
+class _HitTable:
+    """One event's tracker hits, laid out once for the road and the fit.
+
+    Every per-hit quantity the fit needs is computed here, once per hit,
+    by the same elementwise operations a per-fit computation would do:
+    the phi-fit weight ``w = 1 / (sigma / r)``, the weighted phi-basis
+    row ``[w, (1/r) w, r w]`` and the z-basis row ``[1, r]``. A fit
+    takes its chosen rows by index, so ``lstsq`` sees exactly the
+    doubles it would see had the rows been built from the chosen hits
+    alone. The table lives for one :meth:`TrackFinder.find` call.
+    """
+
+    __slots__ = ("r_list", "phi_list", "z_list", "z", "layer", "by_layer",
+                 "weights", "phi_rows", "z_rows", "phi_window", "sigma_z")
+
+    def __init__(self, hits: list[TrackerHit], resolution_mm: float,
+                 config: TrackFinderConfig) -> None:
+        r = np.array([h.r_mm for h in hits], dtype=float)
+        self.z = np.array([h.z_mm for h in hits], dtype=float)
+        self.r_list = r.tolist()
+        self.phi_list = np.array([h.phi for h in hits], dtype=float).tolist()
+        self.z_list = self.z.tolist()
+        self.layer = [int(h.layer) for h in hits]
+        self.by_layer: dict[int, list[int]] = {}
+        for index, layer in enumerate(self.layer):
+            self.by_layer.setdefault(layer, []).append(index)
+        weights = 1.0 / (resolution_mm / r)
+        self.weights = weights.tolist()
+        self.phi_rows = np.column_stack(
+            [weights, (1.0 / r) * weights, r * weights])
+        self.z_rows = np.column_stack([np.ones(len(hits)), r])
+        # The road's phi half-width per hit, widened by ``d0 / r`` for
+        # displaced tracking.
+        if config.d0_allowance_mm > 0.0:
+            self.phi_window = (config.phi_road
+                               + config.d0_allowance_mm / r).tolist()
+        else:
+            self.phi_window = [config.phi_road] * len(hits)
+        self.sigma_z = 3.0 * resolution_mm
 
 
 def _track_line(track: Track) -> tuple[np.ndarray, np.ndarray]:

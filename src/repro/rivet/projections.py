@@ -12,9 +12,40 @@ import math
 from dataclasses import dataclass
 
 from repro.detector.simulation import INVISIBLE_PDG_IDS
+from repro.errors import RivetError
 from repro.generation.hepmc import GenEvent, GenParticle
 from repro.kinematics import FourVector
-from repro.kinematics.fourvector import delta_phi
+from repro.kinematics.fourvector import wrap_phi
+
+
+def _accepted(particles: list[GenParticle], eta_max: float,
+              pt_min: float) -> list[tuple[GenParticle, float, float]]:
+    """``(particle, pt, eta)`` for each particle inside the acceptance.
+
+    pt is computed once per particle, as ``FourVector.pt`` computes it,
+    and eta is derived from it by ``FourVector.eta``'s branches: a
+    vanishing pt gives +/-inf for a non-zero pz (never accepted) and 0
+    otherwise. Record order is kept.
+    """
+    accepted = []
+    for particle in particles:
+        momentum = particle.momentum
+        px, py, pz = momentum.px, momentum.py, momentum.pz
+        pt = math.sqrt(px * px + py * py)
+        if pt < pt_min:
+            continue
+        if pt == 0.0:
+            if pz > 0.0 or pz < 0.0:
+                continue
+            eta = 0.0
+        else:
+            eta = math.asinh(pz / pt)
+            if math.isinf(eta):
+                continue
+        if abs(eta) > eta_max:
+            continue
+        accepted.append((particle, pt, eta))
+    return accepted
 
 
 @dataclass(frozen=True)
@@ -26,16 +57,8 @@ class FinalState:
 
     def particles(self, event: GenEvent) -> list[GenParticle]:
         """Apply the acceptance cuts to the event's final state."""
-        selected = []
-        for particle in event.final_state():
-            momentum = particle.momentum
-            if momentum.pt < self.pt_min:
-                continue
-            eta = momentum.eta
-            if math.isinf(eta) or abs(eta) > self.eta_max:
-                continue
-            selected.append(particle)
-        return selected
+        return [particle for particle, _, _ in _accepted(
+            event.final_state(), self.eta_max, self.pt_min)]
 
 
 @dataclass(frozen=True)
@@ -56,9 +79,10 @@ class ChargedFinalState:
 
     def particles(self, event: GenEvent) -> list[GenParticle]:
         """Apply the charge and acceptance selection."""
-        base = FinalState(eta_max=self.eta_max, pt_min=self.pt_min)
-        return [p for p in base.particles(event)
-                if p.pdg_id in self._CHARGED_IDS]
+        charged = [p for p in event.final_state()
+                   if p.pdg_id in self._CHARGED_IDS]
+        return [particle for particle, _, _ in _accepted(
+            charged, self.eta_max, self.pt_min)]
 
 
 @dataclass(frozen=True)
@@ -72,8 +96,9 @@ class IdentifiedFinalState:
     def particles(self, event: GenEvent) -> list[GenParticle]:
         """Apply the id and acceptance selection."""
         wanted = set(self.pdg_ids)
-        base = FinalState(eta_max=self.eta_max, pt_min=self.pt_min)
-        return [p for p in base.particles(event) if p.pdg_id in wanted]
+        identified = [p for p in event.final_state() if p.pdg_id in wanted]
+        return [particle for particle, _, _ in _accepted(
+            identified, self.eta_max, self.pt_min)]
 
 
 @dataclass(frozen=True)
@@ -109,32 +134,46 @@ class TruthJets:
 
     _LEPTON_IDS = frozenset({11, -11, 13, -13})
 
+    def __post_init__(self) -> None:
+        # A cone that does not hold its own seed never shrinks the
+        # input list; NaN fails this test too.
+        if not self.cone_radius > 0.0:
+            raise RivetError(
+                f"cone radius must be positive, got {self.cone_radius}"
+            )
+
     def jets(self, event: GenEvent) -> list[FourVector]:
         """Cluster and return the jet four-momenta, pt-sorted."""
-        # (momentum, eta, phi) per input: eta and phi are computed once,
-        # not once per cone seed.
-        inputs = []
-        for particle in FinalState(eta_max=self.eta_max).particles(event):
-            if particle.pdg_id in INVISIBLE_PDG_IDS:
-                continue
-            if particle.pdg_id in self._LEPTON_IDS:
-                continue
-            momentum = particle.momentum
-            inputs.append((momentum, momentum.eta, momentum.phi))
-        inputs.sort(key=lambda entry: entry[0].pt, reverse=True)
+        hadrons = [p for p in event.final_state()
+                   if p.pdg_id not in INVISIBLE_PDG_IDS
+                   and p.pdg_id not in self._LEPTON_IDS]
+        # (pt, momentum, eta, phi) per input: each is computed once, not
+        # once per cone seed or sort comparison.
+        inputs = [(pt, particle.momentum, eta, particle.momentum.phi)
+                  for particle, pt, eta in _accepted(hadrons, self.eta_max,
+                                                     0.0)]
+        inputs.sort(key=lambda entry: entry[0], reverse=True)
+        radius = self.cone_radius
         jets = []
         while inputs:
-            _, seed_eta, seed_phi = inputs[0]
-            members = [p for p, eta, phi in inputs
-                       if math.hypot(eta - seed_eta,
-                                     delta_phi(phi, seed_phi))
-                       < self.cone_radius]
-            total = FourVector.zero()
-            for member in members:
-                total = total + member
-            member_ids = {id(m) for m in members}
+            _, _, seed_eta, seed_phi = inputs[0]
+            e = px = py = pz = 0.0
+            member_ids = set()
+            for _, momentum, eta, phi in inputs:
+                d_eta = eta - seed_eta
+                # hypot(d_eta, d_phi) >= |d_eta|, so a wide d_eta is
+                # outside the cone before hypot is taken.
+                if not abs(d_eta) < radius:
+                    continue
+                if math.hypot(d_eta, wrap_phi(phi - seed_phi)) < radius:
+                    e += momentum.e
+                    px += momentum.px
+                    py += momentum.py
+                    pz += momentum.pz
+                    member_ids.add(id(momentum))
             inputs = [entry for entry in inputs
-                      if id(entry[0]) not in member_ids]
+                      if id(entry[1]) not in member_ids]
+            total = FourVector(e, px, py, pz)
             if total.pt >= self.jet_pt_min:
                 jets.append(total)
         return sorted(jets, key=lambda j: j.pt, reverse=True)

@@ -4,8 +4,10 @@ Every stage an archived campaign depends on — truth generation for each
 ``repro generate --process`` choice and for the processes only reachable
 through the library, a cross-section-weighted mixture with pile-up,
 simulation plus digitisation to RAW on both geometries, a small
-``repro campaign`` AOD file and its conditions manifest, truth jets,
-the RIVET analyses and a RECAST mass-scan limit — is reduced to the
+``repro campaign`` AOD file on each geometry and its conditions
+manifest, displaced tracking with a per-hit road window, the
+final-state projection family's selections, truth jets, the RIVET
+analyses and a RECAST mass-scan limit — is reduced to the
 SHA-256 of its canonical JSON and compared with a pinned digest. The
 serial-versus-parallel tests elsewhere only show that two execution
 policies agree with each other; these digests show the bytes themselves
@@ -34,6 +36,7 @@ from repro.detector import (
 )
 from repro.generation import (
     DrellYanZ,
+    DzeroProduction,
     GeneratorConfig,
     HiggsToFourLeptons,
     KshortProduction,
@@ -43,8 +46,20 @@ from repro.generation import (
     WProduction,
     ZPrimeResonance,
 )
+from repro.generation.hepmc import GenEvent, ParticleStatus
+from repro.kinematics import FourVector
 from repro.recast import FullChainBackend, PreservedSearch, run_mass_scan
-from repro.rivet import RivetRunner, TruthJets, standard_repository
+from repro.reconstruction import TrackFinder
+from repro.reconstruction.tracking import TrackFinderConfig
+from repro.rivet import (
+    ChargedFinalState,
+    FinalState,
+    IdentifiedFinalState,
+    RivetRunner,
+    TruthJets,
+    VisibleMomentum,
+    standard_repository,
+)
 
 GENERATE_PROCESSES = ("z_to_mumu", "z_to_ee", "w_to_munu", "higgs_4l",
                       "qcd_dijets", "d0_to_kpi", "jpsi", "minbias")
@@ -97,12 +112,77 @@ def _search() -> PreservedSearch:
     )
 
 
+def _displaced_tracks() -> list:
+    """Tracks found with a per-hit road window on D0 -> K pi events."""
+    geometry = generic_lhc_detector()
+    events = ToyGenerator(GeneratorConfig(
+        processes=[DzeroProduction()], seed=4242)).generate(30)
+    simulation = DetectorSimulation(geometry, seed=4243)
+    digitizer = Digitizer(geometry, run_number=3, seed=4244)
+    finder = TrackFinder(geometry, TrackFinderConfig(d0_allowance_mm=40.0))
+    return [[track.to_dict() for track in finder.find(
+        digitizer.digitize(simulation.simulate(event)).tracker_hits)]
+            for event in events]
+
+
+def _longitudinal_event() -> GenEvent:
+    """Hand-made final-state particles with zero pt: pz > 0, < 0 and 0,
+    beside ordinary ones, to reach the projections' infinite-eta and
+    zero-eta branches."""
+    event = GenEvent(event_number=0, process_id=0, process_name="hand",
+                     sqrt_s=8000.0)
+    for pdg_id, p4 in (
+            (13, (5.0, 0.0, 0.0, 5.0)), (-13, (5.0, 0.0, 0.0, -5.0)),
+            (211, (0.2, 0.0, 0.0, 0.0)), (22, (3.0, -0.0, 0.0, 3.0)),
+            (-211, (4.0, 1.0, -2.0, 3.0)), (13, (30.0, 20.0, 10.0, -5.0)),
+            (12, (9.0, 6.0, -3.0, 1.0)), (2212, (2.0, 0.0, 0.0, -0.0))):
+        event.add_particle(pdg_id, FourVector(*p4), ParticleStatus.FINAL)
+    return event
+
+
+def _projection_events() -> list[GenEvent]:
+    events = []
+    for process, seed in ((MinimumBias(), 61), (QCDDijets(), 62)):
+        events += ToyGenerator(GeneratorConfig(
+            processes=[process], seed=seed)).generate(20)
+    return events + [_longitudinal_event()]
+
+
+#: Selections of the final-state projection family, by name.
+_SELECTIONS = {
+    "final": FinalState(),
+    "final_tight": FinalState(eta_max=2.0, pt_min=1.0),
+    "charged": ChargedFinalState(),
+    "charged_open": ChargedFinalState(eta_max=5.0, pt_min=0.0),
+    "muons": IdentifiedFinalState((13, -13), eta_max=2.5, pt_min=5.0),
+    "muons_open": IdentifiedFinalState((13, -13)),
+    "pions": IdentifiedFinalState((211, -211)),
+    "photons_protons": IdentifiedFinalState((22, 2212), pt_min=0.0),
+}
+
+
+def _projection_selections() -> list:
+    selections = []
+    for event in _projection_events():
+        record = {name: [p.to_dict() for p in projection.particles(event)]
+                  for name, projection in _SELECTIONS.items()}
+        for eta_max in (5.0, 2.5):
+            met = VisibleMomentum(eta_max=eta_max).missing_pt(event)
+            record[f"met_{eta_max}"] = met.to_list()
+        selections.append(record)
+    return selections
+
+
 #: Pinned digests; they must never move without a reviewed reason.
 PINNED: dict[str, str] = {
     "campaign_aod":
         "39848f7425259d1f8ef50f72d0fb96922b4cde351cd326ff3ba1de24ad2012f3",
+    "campaign_aod_fwd":
+        "33243bcfa6e60df40a5d3289b70cc7d65a95c20750104d5417b00bac4841d937",
     "campaign_manifest":
         "1a4b91351b67d905e955ec4e2b78146d10054890c5adae40e2a9f059a1664289",
+    "displaced_tracks":
+        "0cf068e560ddd69db3177ab5d8d05f367f79104d69c4ff1d23562e7e62e9ff08",
     "gen_d0_to_kpi":
         "e2e0deb23e034a36ddd3d9cc5bee06cb720e503eed6b3181bb79a113d4b1c58e",
     "gen_higgs_4l":
@@ -123,6 +203,8 @@ PINNED: dict[str, str] = {
         "7d5a960deb8194e0484e64b4375958e82834c81257648b75c2f2229fe6966287",
     "mass_scan":
         "179636568fd816f1ff68605465dbcf5d5d88322ee47c61c1323f38390c9762c8",
+    "projections":
+        "4cb6fa0f49882c3c96f196dae3b4285f7392309ed0f310fc11f623bbcd39ad6d",
     "raw_fwd":
         "23f91ce2c0407f77b240c3e5be228deabba42b14e9783cd731a17873db20f66f",
     "raw_gpd":
@@ -189,3 +271,23 @@ def test_mass_scan_limit():
     scan = run_mass_scan(backend, _search(), [800.0, 1600.0])
     assert _digest([point.result.to_dict() for point in scan.points]) \
         == PINNED["mass_scan"]
+
+
+def test_campaign_aod_forward_geometry(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["campaign", "--name", "identity", "--geometry", "FWD",
+                 "--runs", "2", "--sections", "20",
+                 "--events-per-section", "1.0", "--max-events-per-run",
+                 "20", "--seed", "6001", "--output", "aod.jsonl"]) == 0
+    aod = hashlib.sha256((tmp_path / "aod.jsonl").read_bytes()).hexdigest()
+    assert aod == PINNED["campaign_aod_fwd"]
+
+
+def test_displaced_tracking_with_a_per_hit_window():
+    tracks = _displaced_tracks()
+    assert sum(map(len, tracks)) > 0
+    assert _digest(tracks) == PINNED["displaced_tracks"]
+
+
+def test_final_state_projection_selections():
+    assert _digest(_projection_selections()) == PINNED["projections"]

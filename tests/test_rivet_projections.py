@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import RivetError
 from repro.generation import (
     DrellYanZ,
     GeneratorConfig,
@@ -89,6 +90,13 @@ class TestVisibleMomentum:
 
 
 class TestTruthJets:
+    @pytest.mark.parametrize("radius", [0.0, -0.4, float("nan")])
+    def test_a_cone_without_its_seed_is_refused(self, radius):
+        # Such a cone never holds its own seed, so jets() would loop
+        # forever; the radius is refused when the projection is built.
+        with pytest.raises(RivetError, match="cone radius"):
+            TruthJets(cone_radius=radius)
+
     def test_dijet_events_make_jets(self, dijet_events):
         projection = TruthJets(jet_pt_min=15.0)
         jet_counts = [len(projection.jets(event))
