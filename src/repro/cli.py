@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 
+from repro.core.canonical import canonical_document, write_atomic
 from repro.errors import ReproError
 
 
@@ -493,10 +493,8 @@ def _cmd_campaign(args) -> int:
         },
     )
     if args.manifest:
-        with open(args.manifest, "w", encoding="utf-8") as handle:
-            json.dump(campaign.conditions_manifest(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        write_atomic(args.manifest, canonical_document(
+            campaign.conditions_manifest(), indent=2), "conditions manifest")
         print(f"wrote conditions manifest to {args.manifest}")
     _write_trace(args, tracer, obs_metrics, provenance={
         "command": "campaign",
@@ -573,8 +571,8 @@ def _cmd_display(args) -> int:
     if args.svg:
         record = EventDisplayRecord.build(_geometry_for(args.geometry),
                                           event)
-        Path(args.svg).write_text(render_event_svg(record.to_dict()),
-                                  encoding="utf-8")
+        write_atomic(args.svg, render_event_svg(
+            record.to_dict()).encode("utf-8"), "event display")
         print(f"wrote {args.svg}")
     else:
         print(render_lego_ascii(event))
@@ -701,7 +699,7 @@ def _cmd_closure(args) -> int:
     manifest = extract_closure(args.target, entry=args.entry)
     payload = manifest.to_json_bytes()
     if args.output:
-        Path(args.output).write_bytes(payload)
+        write_atomic(args.output, payload, "closure manifest")
 
     checking = bool(args.check_archive or args.check_repository)
     if not checking:
@@ -769,8 +767,8 @@ def _cmd_profile(args) -> int:
 
     profile = SpanProfile.from_report(RunReport.load(args.report))
     if args.collapsed:
-        Path(args.collapsed).write_text(profile.collapsed(),
-                                        encoding="utf-8")
+        write_atomic(args.collapsed, profile.collapsed().encode("utf-8"),
+                     "collapsed stacks")
         # Status goes to stderr: stdout may be the JSON document.
         print(f"wrote {len(profile.nodes)} collapsed stack(s) to "
               f"{args.collapsed}", file=sys.stderr)
@@ -799,10 +797,8 @@ def _cmd_serve(args) -> int:
     # fast instead of after the whole run.
     spec = SLOSpec.load(args.slo) if args.slo else default_service_slo()
     if args.write_script:
-        script = demo_script()
-        with open(args.write_script, "w", encoding="utf-8") as handle:
-            json.dump(script, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_atomic(args.write_script, canonical_document(
+            demo_script(), indent=2), "submission script")
         print(f"wrote demo submission script to {args.write_script}")
         return 0
 
@@ -824,11 +820,11 @@ def _cmd_serve(args) -> int:
           f"{len(service.events)} events, "
           f"cache hit rate {stats.hit_rate:.2f}")
     if args.event_log:
-        Path(args.event_log).write_bytes(service.event_log_bytes())
+        write_atomic(args.event_log, service.event_log_bytes(), "event log")
         print(f"wrote request-event log to {args.event_log}")
     if args.telemetry_out:
-        Path(args.telemetry_out).write_bytes(
-            service.telemetry.to_json_bytes(deterministic=True))
+        write_atomic(args.telemetry_out, service.telemetry.to_json_bytes(
+            deterministic=True), "telemetry snapshot")
         print(f"wrote telemetry snapshot to {args.telemetry_out}")
     if args.health_out:
         health = evaluate_slo(

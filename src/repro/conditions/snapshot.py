@@ -13,13 +13,16 @@ external conditions dependency of a workflow into a portable artifact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.conditions.iov import IOV
 from repro.conditions.store import ConditionsStore
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import ConditionsError, IOVError, PersistenceError
 
 _SNAPSHOT_FORMAT = "repro-conditions-snapshot"
@@ -134,12 +137,7 @@ def export_snapshot(
         entries=entries,
     )
     if path is not None:
-        path = Path(path)
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(snapshot.to_dict(), handle, indent=1)
-        except OSError as exc:
-            raise PersistenceError(f"cannot write snapshot {path}: {exc}")
+        write_atomic(path, canonical_document(snapshot.to_dict()), "snapshot")
     return snapshot
 
 

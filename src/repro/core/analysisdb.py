@@ -13,10 +13,13 @@ against AOD events — reproducing the analysis from its description alone.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.core.describe import AnalysisDescription
 from repro.datamodel.event import AODEvent
 from repro.errors import PersistenceError, PreservationError
@@ -112,20 +115,13 @@ class AnalysisDatabase:
 
     def save(self, path: str | Path) -> None:
         """Persist all descriptions to one JSON file."""
-        path = Path(path)
         payload = {
             "format": _FORMAT_TAG,
             "name": self.name,
             "analyses": [d.to_dict()
                          for _, d in sorted(self._descriptions.items())],
         }
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot write analysis database {path}: {exc}"
-            )
+        write_atomic(path, canonical_document(payload), "analysis database")
 
     @classmethod
     def load(cls, path: str | Path) -> "AnalysisDatabase":

@@ -18,6 +18,7 @@ from repro.core.canonical import (
     canonical_document,
     canonical_json,
     load_json_document,
+    write_atomic,
 )
 from repro.core.metadata import PreservationMetadata
 from repro.errors import ArchiveError, FixityError, PersistenceError
@@ -170,29 +171,28 @@ class PreservationArchive:
     # ------------------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write the archive as a directory: catalogue + one file per blob."""
+        """Write the blobs, then the catalogue: a save cut short leaves
+        the previous catalogue, and every blob it names, in force."""
         directory = Path(directory)
+        blobs_dir = directory / "blobs"
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            blobs_dir = directory / "blobs"
-            blobs_dir.mkdir(exist_ok=True)
-            catalogue = {
-                "format": "repro-preservation-archive",
-                "name": self.name,
-                "entries": [entry.to_dict()
-                            for _, entry in sorted(self._entries.items())],
-            }
-            (directory / "catalogue.json").write_bytes(
-                canonical_document(catalogue))
-            # lint: ignore[DAS403] -- each blob lands in its own
-            # digest-named file; write order never reaches the bytes
-            # of any stored artifact
-            for digest, content in self._blobs.items():
-                (blobs_dir / digest).write_bytes(content)
+            blobs_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise PersistenceError(
-                f"cannot save archive to {directory}: {exc}"
-            )
+                f"cannot save archive to {directory}: {exc}") from None
+        # lint: ignore[DAS403] -- each blob lands in its own
+        # digest-named file; write order never reaches the bytes
+        # of any stored artifact
+        for digest, content in self._blobs.items():
+            write_atomic(blobs_dir / digest, content, "archive blob")
+        catalogue = {
+            "format": "repro-preservation-archive",
+            "name": self.name,
+            "entries": [entry.to_dict()
+                        for _, entry in sorted(self._entries.items())],
+        }
+        write_atomic(directory / "catalogue.json",
+                     canonical_document(catalogue), "archive catalogue")
 
     @classmethod
     def load(cls, directory: str | Path) -> "PreservationArchive":

@@ -22,16 +22,21 @@ any path reachable from a registered replay root is a finding.
 
 The way back in is funnelled too: :func:`load_json_document` is the
 one reader for JSON documents a user hands the system, so every
-damaged file surfaces as a typed error that names it.
+damaged file surfaces as a typed error that names it. The way out is
+too: :func:`write_atomic` writes every file, so a crash leaves the old
+file or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
-from repro.errors import PreservationError, ReproError
+from repro.errors import PersistenceError, PreservationError, ReproError
 
 #: The compact separator pair every digestable encoding uses.
 CANONICAL_SEPARATORS = (",", ":")
@@ -84,9 +89,31 @@ def canonical_text(payload, *, indent: int | None = 1) -> str:
     return _dumps(payload, indent=indent)
 
 
-def canonical_document(payload, *, indent: int = 1) -> bytes:
+def canonical_document(payload, *, indent: int | None = 1) -> bytes:
     """Artifact-file bytes: :func:`canonical_text` plus one LF."""
     return (canonical_text(payload, indent=indent) + "\n").encode("utf-8")
+
+
+def write_atomic(path, data: bytes, what: str) -> None:
+    """Replace the file at ``path`` with ``data`` in one step.
+
+    The bytes go to a hidden ``.tmp`` file beside ``path`` that
+    :func:`os.replace` renames onto it, so a process that dies mid-write
+    leaves the old file whole (there is no ``fsync``: a power loss is
+    not covered). A failure removes the temporary file and raises
+    :class:`PersistenceError` naming ``what`` and ``path``."""
+    path = Path(path)
+    temporary = path.parent / (
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        temporary.write_bytes(data)
+        # lint: ignore[DAS004] -- the one artifact writer
+        os.replace(temporary, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            temporary.unlink()
+        raise PersistenceError(
+            f"cannot write {what} {path}: {exc.strerror or exc}") from None
 
 
 def load_json_document(path, parse, error_type, what: str):
@@ -97,6 +124,7 @@ def load_json_document(path, parse, error_type, what: str):
     ``what`` and ``path``.
     """
     try:
+        # lint: ignore[DAS004] -- the one JSON document reader
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise error_type(f"cannot read {what} {path}: {exc}") from None

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import canonical_json, parse_record
+from repro.core.canonical import canonical_json, parse_record, write_atomic
 from repro.datamodel.schema import field_documentation, validate_record
 from repro.datamodel.tiers import DataTier
 from repro.errors import PersistenceError, PreservationError, SchemaError
@@ -70,7 +70,7 @@ class DatasetWriter:
     """Streams event records into a dataset file.
 
     Use as a context manager; the header is finalised (with the event
-    count) when the writer closes, by rewriting the first line.
+    count) and the whole file written when the writer closes.
     """
 
     def __init__(self, path: str | Path, dataset_name: str, tier: DataTier,
@@ -113,13 +113,7 @@ class DatasetWriter:
             except PreservationError as exc:
                 raise PreservationError(
                     f"{self.path}:{line_number}: {exc}") from None
-        try:
-            with self.path.open("wb") as handle:
-                handle.write(b"\n".join(lines) + b"\n")
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot write dataset {self.path}: {exc}"
-            )
+        write_atomic(self.path, b"\n".join(lines) + b"\n", "dataset")
         self._closed = True
 
     def __enter__(self) -> "DatasetWriter":

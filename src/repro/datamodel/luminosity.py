@@ -9,11 +9,14 @@ cross-section and limit it quotes) is meaningless without it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import DataModelError, PersistenceError
 
 
@@ -153,7 +156,7 @@ class GoodRunList:
         luminosity).
         """
         total = 0.0
-        for run_number, run_ranges in self.ranges.items():
+        for run_number, run_ranges in sorted(self.ranges.items()):
             if run_number not in registry:
                 continue
             run = registry.get(run_number)
@@ -188,12 +191,7 @@ class GoodRunList:
 
     def save(self, path: str | Path) -> None:
         """Write to a JSON file."""
-        path = Path(path)
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=1)
-        except OSError as exc:
-            raise PersistenceError(f"cannot write GRL {path}: {exc}")
+        write_atomic(path, canonical_document(self.to_dict()), "GRL")
 
     @classmethod
     def load(cls, path: str | Path) -> "GoodRunList":

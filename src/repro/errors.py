@@ -65,7 +65,7 @@ class SchemaError(DataModelError):
 
 
 class PersistenceError(ReproError):
-    """Reading or writing a dataset file failed."""
+    """Reading or writing an artifact file failed."""
 
 
 class WorkflowError(ReproError):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import HepDataError, PersistenceError, RecordNotFoundError
 from repro.hepdata.records import HepDataRecord
 
@@ -80,7 +83,6 @@ class HepDataArchive:
 
     def save(self, path: str | Path) -> None:
         """Persist the whole archive (all versions) to one JSON file."""
-        path = Path(path)
         payload = {
             "format": _FORMAT_TAG,
             "name": self.name,
@@ -89,11 +91,8 @@ class HepDataArchive:
                 for record_id, versions in self._records.items()
             },
         }
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-        except OSError as exc:
-            raise PersistenceError(f"cannot write archive {path}: {exc}")
+        write_atomic(path, canonical_document(payload, indent=None),
+                     "hepdata archive")
 
     @classmethod
     def load(cls, path: str | Path) -> "HepDataArchive":

@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import canonical_document, load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import ObservabilityError
 from repro.obs.env import ENVIRONMENT_FIELDS, capture_environment
 from repro.obs.metrics import MetricsRegistry
@@ -152,7 +156,7 @@ class RunReport:
 
     def save(self, path: str | Path) -> None:
         """Write the report document to ``path``."""
-        Path(path).write_bytes(self.to_json_bytes())
+        write_atomic(path, self.to_json_bytes(), "run report")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunReport":

@@ -32,9 +32,12 @@ threshold was — a verdict that cannot say *why* cannot be audited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.core.canonical import canonical_document, load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import ObservabilityError
 from repro.obs.telemetry import QUANTILE_GRID, quantile_label
 
@@ -405,7 +408,7 @@ class HealthReport:
 
     def save(self, path) -> None:
         """Write the report document to ``path``."""
-        Path(path).write_bytes(self.to_json_bytes())
+        write_atomic(path, self.to_json_bytes(), "health report")
 
     @classmethod
     def load(cls, path) -> "HealthReport":

@@ -13,8 +13,9 @@ from __future__ import annotations
 import html
 from pathlib import Path
 
+from repro.core.canonical import write_atomic
 from repro.detector.geometry import DetectorGeometry
-from repro.errors import OutreachError, PersistenceError
+from repro.errors import OutreachError
 from repro.outreach.display import EventDisplayRecord
 from repro.outreach.format import Level2Event
 from repro.outreach.portal import OutreachPortal
@@ -169,14 +170,6 @@ def export_portal_html(
 def write_portal_html(path: str | Path, events: list[Level2Event],
                       geometry: DetectorGeometry, **options) -> Path:
     """Write the export to a file; returns the path."""
-    path = Path(path)
-    try:
-        path.write_text(
-            export_portal_html(events, geometry, **options),
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise PersistenceError(
-            f"cannot write portal page {path}: {exc}"
-        )
-    return path
+    page = export_portal_html(events, geometry, **options)
+    write_atomic(path, page.encode("utf-8"), "portal page")
+    return Path(path)

@@ -9,10 +9,13 @@ a given file may not be included". The audit benchmark contrasts the two.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import PersistenceError, ProvenanceError
 from repro.provenance.graph import ProvenanceGraph
 from repro.provenance.records import ArtifactRecord, ProducerRecord
@@ -60,14 +63,8 @@ class ProvenanceCapture:
 
     def export(self, path: str | Path) -> None:
         """Write the captured graph to a JSON file."""
-        path = Path(path)
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(self.graph.to_dict(), handle, indent=1)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot export provenance to {path}: {exc}"
-            )
+        write_atomic(path, canonical_document(self.graph.to_dict()),
+                     "provenance export")
 
     @classmethod
     def load(cls, path: str | Path) -> "ProvenanceCapture":

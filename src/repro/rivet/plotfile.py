@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.core.canonical import write_atomic
 from repro.errors import PersistenceError, RivetError
 from repro.rivet.reference import ReferenceData
 from repro.rivet.runner import AnalysisResult
@@ -76,15 +77,8 @@ def write_plot_files(result: AnalysisResult, reference: ReferenceData,
         if key not in result.histograms:
             continue
         path = directory / f"{result.analysis_name}_{key}.dat"
-        try:
-            path.write_text(
-                format_plot_file(result, reference, key) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot write plot file {path}: {exc}"
-            )
+        write_atomic(path, (format_plot_file(result, reference, key)
+                            + "\n").encode("utf-8"), "plot file")
         written.append(path)
     if not written:
         raise RivetError(

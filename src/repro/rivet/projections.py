@@ -25,24 +25,25 @@ def _accepted(particles: list[GenParticle], eta_max: float,
     pt is computed once per particle, as ``FourVector.pt`` computes it,
     and eta is derived from it by ``FourVector.eta``'s branches: a
     vanishing pt gives +/-inf for a non-zero pz (never accepted) and 0
-    otherwise. Record order is kept.
+    otherwise. Every cut is written so that a NaN fails it. Record order
+    is kept.
     """
     accepted = []
     for particle in particles:
         momentum = particle.momentum
         px, py, pz = momentum.px, momentum.py, momentum.pz
         pt = math.sqrt(px * px + py * py)
-        if pt < pt_min:
+        if not pt >= pt_min:
             continue
         if pt == 0.0:
-            if pz > 0.0 or pz < 0.0:
+            if pz != 0.0:
                 continue
             eta = 0.0
         else:
             eta = math.asinh(pz / pt)
             if math.isinf(eta):
                 continue
-        if abs(eta) > eta_max:
+        if not abs(eta) <= eta_max:
             continue
         accepted.append((particle, pt, eta))
     return accepted

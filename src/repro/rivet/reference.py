@@ -7,11 +7,14 @@ measurement histograms for one analysis, serialisable to a JSON file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.canonical import load_json_document
+from repro.core.canonical import (
+    canonical_document,
+    load_json_document,
+    write_atomic,
+)
 from repro.errors import PersistenceError, RivetError
 from repro.stats.histogram import Histogram1D
 
@@ -77,14 +80,8 @@ class ReferenceData:
 
     def save(self, path: str | Path) -> None:
         """Write to a JSON file."""
-        path = Path(path)
-        try:
-            with path.open("w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=1)
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot write reference data {path}: {exc}"
-            )
+        write_atomic(path, canonical_document(self.to_dict()),
+                     "reference data")
 
     @classmethod
     def load(cls, path: str | Path) -> "ReferenceData":

@@ -130,3 +130,52 @@ class TestReports:
     def test_interview_unknown_experiment(self, capsys):
         assert main(["interview", "--experiment", "UA1"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+#: Every CLI option that names an output file, with the rest of a
+#: command line that gets as far as writing it. ``{work}`` is the
+#: module's work directory, ``{out}`` the unwritable target.
+_OUTPUT_OPTIONS = {
+    "generate --output": "generate --events 3 --output {out}",
+    "generate --trace-out": ("generate --events 3 --output "
+                             "{work}/traced.jsonl --trace-out {out}"),
+    "closure --output": "closure {closure_target} --output {out}",
+    "display --svg": "display --input {work}/l2.jsonl --svg {out}",
+    "profile --collapsed": "profile {work}/report.json --collapsed {out}",
+    "campaign --manifest": ("campaign --runs 1 --sections 2 --output "
+                            "{work}/camp.jsonl --manifest {out}"),
+    "serve --write-script": "serve --write-script {out}",
+    "serve --event-log": "serve --events 3 --toys 10 --event-log {out}",
+    "serve --telemetry-out": ("serve --events 3 --toys 10 "
+                              "--telemetry-out {out}"),
+    "serve --health-out": "serve --events 3 --toys 10 --health-out {out}",
+}
+
+
+class TestOutputErrors:
+    """An output file that cannot be written is a clean exit 2."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, workdir):
+        assert main(["convert-level2", "--input",
+                     str(workdir / "aod.jsonl"), "--output",
+                     str(workdir / "l2.jsonl")]) == 0
+        assert main(["generate", "--events", "3", "--output",
+                     str(workdir / "traced-gen.jsonl"), "--trace-out",
+                     str(workdir / "report.json")]) == 0
+        return workdir
+
+    @pytest.mark.parametrize("option", sorted(_OUTPUT_OPTIONS))
+    def test_exit_2_naming_the_path(self, option, inputs, tmp_path,
+                                    capsys):
+        from repro.rivet import standard_analyses
+
+        out = tmp_path / "missing" / "out.json"
+        argv = _OUTPUT_OPTIONS[option].format(
+            work=inputs, out=out,
+            closure_target=standard_analyses.__file__).split()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert not out.parent.exists()

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.conditions import IOV, ConditionsStore, GlobalTag, export_snapshot
+from repro.core import AnalysisDatabase, ObjectDefinition
 from repro.core.canonical import (
     canonical_document,
     canonical_json,
@@ -14,6 +16,60 @@ from repro.core.canonical import (
 from repro.datamodel.io import DatasetWriter
 from repro.datamodel.schema import DataTier
 from repro.errors import PreservationError
+from repro.hepdata import HepDataArchive, HepDataRecord, Reaction
+from repro.provenance import ProvenanceCapture
+from repro.rivet import ReferenceData
+from repro.stats.histogram import Histogram1D
+from tests.test_core_describe_analysisdb import _description
+
+
+# Each writer that once called ``json.dump`` itself, given a value to
+# hide in what it writes; the JSON location the refusal must name.
+def _write_reference(path, number):
+    histogram = Histogram1D("mass", 2, 0.0, 2.0)
+    histogram.fill(0.5, weight=number)
+    reference = ReferenceData("TOY_2013_I0001")
+    reference.add("mass", histogram)
+    reference.save(path)
+
+
+def _write_snapshot(path, number):
+    store = ConditionsStore()
+    store.add_payload("ecal", "v1", IOV(1, 10), {"scale": number})
+    store.register_global_tag(GlobalTag.from_mapping("GT", {"ecal": "v1"}))
+    export_snapshot(store, "GT", 1, 10, path=path)
+
+
+def _write_analysis_db(path, number):
+    description = _description()
+    description.objects[0] = ObjectDefinition("muon", number, 2.4)
+    database = AnalysisDatabase()
+    database.add(description)
+    database.save(path)
+
+
+def _write_hepdata(path, number):
+    record = HepDataRecord(record_id="ins0001", title="Z pt",
+                           experiment="GPD", inspire_id="I1001")
+    record.reactions.append(Reaction("P P", "Z0 X", number))
+    archive = HepDataArchive()
+    archive.submit(record)
+    archive.save(path)
+
+
+def _write_provenance(path, number):
+    capture = ProvenanceCapture()
+    capture.report("raw", "dataset", "RAW", attributes={"lumi": number})
+    capture.export(path)
+
+
+_NAN_WRITERS = {
+    "reference-data": (_write_reference, r"\['mass'\]"),
+    "conditions-snapshot": (_write_snapshot, r"\['scale'\]"),
+    "analysis-database": (_write_analysis_db, r"\['min_pt'\]"),
+    "hepdata-archive": (_write_hepdata, r"\['sqrt_s_gev'\]"),
+    "provenance-export": (_write_provenance, r"\['lumi'\]"),
+}
 
 
 class TestCanonicalJson:
@@ -66,6 +122,18 @@ class TestNonFiniteNumbers:
         with pytest.raises(PreservationError,
                            match=r"\$\['muons'\]\[0\]\['p4'\]\[1\]"):
             encode({"run": 1, "muons": [{"p4": [1.0, number]}]})
+
+    @pytest.mark.parametrize("writer", sorted(_NAN_WRITERS))
+    @pytest.mark.parametrize("number", [float("nan"), float("inf")])
+    def test_writers_refuse_naming_where_and_keep_the_old_file(
+            self, writer, number, tmp_path):
+        write, where = _NAN_WRITERS[writer]
+        path = tmp_path / "artifact.json"
+        path.write_bytes(b"old\n")
+        with pytest.raises(PreservationError, match=r"\$\[.*" + where):
+            write(path, number)
+        assert path.read_bytes() == b"old\n"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_circular_payload_is_still_a_value_error(self):
         payload = []

@@ -1,5 +1,9 @@
 """Tests for RIVET-style projections."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.errors import RivetError
@@ -96,6 +100,31 @@ class TestTruthJets:
         # forever; the radius is refused when the projection is built.
         with pytest.raises(RivetError, match="cone radius"):
             TruthJets(cone_radius=radius)
+
+    @pytest.mark.parametrize("momentum", [
+        "5.0, 1.0, 2.0, nan", "5.0, nan, 2.0, 1.0", "5.0, 0.0, 0.0, nan",
+    ])
+    def test_a_nan_momentum_is_not_accepted(self, momentum):
+        # A NaN particle is never its own cone member, so jets() would
+        # loop forever; a child process with a timeout makes a hang
+        # fail the test instead of stalling the suite.
+        script = textwrap.dedent(f"""
+            from repro.generation.hepmc import GenEvent, ParticleStatus
+            from repro.kinematics import FourVector
+            from repro.rivet import FinalState, TruthJets
+            nan = float("nan")
+            event = GenEvent(event_number=0, process_id=0,
+                             process_name="nan", sqrt_s=8000.0)
+            event.add_particle(211, FourVector({momentum}),
+                               ParticleStatus.FINAL)
+            print(len(TruthJets().jets(event)))
+            assert FinalState().particles(event) == []
+        """)
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True,
+                                timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
 
     def test_dijet_events_make_jets(self, dijet_events):
         projection = TruthJets(jet_pt_min=15.0)
