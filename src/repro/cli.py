@@ -11,7 +11,9 @@ Subcommands cover the day-to-day verbs of the paper's personas:
 - ``interview`` / ``table1`` / ``maturity`` — the curator reports.
 
 Invoke as ``python -m repro.cli <command> ...`` or via the ``repro``
-console script.
+console script. Every subcommand takes ``--trace-out PATH``: ``main()``
+then hands the handler a tracer and metrics registry and, once it
+returns, writes the run report (see ``repro.obs.report``).
 """
 
 from __future__ import annotations
@@ -26,46 +28,39 @@ from repro.core.canonical import canonical_document, write_atomic
 from repro.errors import ReproError
 
 
-def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the observability options shared by traced commands."""
-    parser.add_argument(
-        "--trace-out", metavar="PATH",
-        help="write a run report (trace tree + metrics + environment) "
-             "to this JSON file; inspect with 'repro trace PATH'")
-    parser.add_argument(
-        "--trace-deterministic", action="store_true",
-        help="strip clocks and host identity from the run report so "
-             "two identical runs produce byte-identical files")
-
-
-def _trace_context(args, command: str):
-    """(tracer, metrics) for a traced command, or ``(None, None)``.
-
-    The trace id is derived from the command name alone, so span ids —
-    and with --trace-deterministic the whole report — reproduce across
-    invocations.
+class _Run:
+    """What ``main()`` hands every handler: the tracer and metrics
+    registry for the library (both ``None`` without --trace-out) and
+    the provenance the run report records.
     """
-    if not getattr(args, "trace_out", None):
-        return None, None
-    from repro.obs import MetricsRegistry, Tracer
 
-    return Tracer(f"repro-{command}"), MetricsRegistry()
+    def __init__(self, command: str, traced: bool) -> None:
+        self.provenance = {"command": command}
+        self.tracer = self.metrics = None
+        if traced:
+            from repro.obs import MetricsRegistry, Tracer
 
+            # The trace id is derived from the command name alone, so
+            # span ids -- and with --trace-deterministic the whole
+            # report -- reproduce across invocations.
+            self.tracer = Tracer(f"repro-{command}")
+            self.metrics = MetricsRegistry()
 
-def _write_trace(args, tracer, metrics, provenance: dict | None = None) -> None:
-    """Assemble and write the run report when tracing was requested."""
-    if tracer is None:
-        return
-    from repro.obs import RunReport
+    def record(self, **provenance) -> None:
+        """State the handler's provenance for the run report."""
+        self.provenance.update(provenance)
 
-    report = RunReport.build(
-        tracer, metrics,
-        deterministic=bool(getattr(args, "trace_deterministic", False)),
-        provenance=provenance,
-    )
-    report.save(args.trace_out)
-    print(f"wrote run report ({report.n_spans} spans) to "
-          f"{args.trace_out}")
+    def save(self, path: str, deterministic: bool) -> None:
+        """Assemble the run report and write it to ``path``."""
+        from repro.obs import RunReport
+
+        report = RunReport.build(self.tracer, self.metrics,
+                                 deterministic=deterministic,
+                                 provenance=self.provenance)
+        report.save(path)
+        # Status goes to stderr: stdout may be the JSON document.
+        print(f"wrote run report ({report.n_spans} spans) to {path}",
+              file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--events", type=int, default=100)
     generate.add_argument("--seed", type=int, default=2013)
     generate.add_argument("--output", required=True)
-    _add_trace_arguments(generate)
 
     process = sub.add_parser(
         "process",
@@ -100,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     process.add_argument("--jobs", type=int, default=1,
                          help="worker processes for reconstruction "
                               "(default 1 = serial; -1 = all CPUs)")
-    _add_trace_arguments(process)
 
     campaign = sub.add_parser(
         "campaign",
@@ -134,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--manifest",
                           help="also write the campaign conditions "
                                "manifest to this JSON file")
-    _add_trace_arguments(campaign)
 
     skim = sub.add_parser("skim",
                           help="apply a JSON skim spec to an AOD file")
@@ -212,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "randomness (DAS4xx rules)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    _add_trace_arguments(lint)
 
     closure = sub.add_parser(
         "closure",
@@ -253,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render the metrics snapshot of a run-report JSON file",
     )
     metrics.add_argument("report", help="run report written by --trace-out")
-    metrics.add_argument("--format", choices=("text", "json", "prom"),
-                         default="text", dest="output_format",
+    metrics.add_argument("--format", choices=("prom", "json"),
+                         default="prom", dest="output_format",
                          help="'prom' renders Prometheus text "
                               "exposition (# HELP/# TYPE, escaped "
                               "labels, cumulative buckets)")
@@ -319,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the effective submission script to "
                             "this JSON file and exit (use to seed a "
                             "custom script from the demo)")
-    _add_trace_arguments(serve)
 
     interview = sub.add_parser("interview",
                                help="print an experiment's interview")
@@ -327,6 +317,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table1", help="print the Table 1 outreach matrix")
     sub.add_parser("maturity", help="print the maturity-rating table")
+
+    for command in sub.choices.values():
+        command.add_argument(
+            "--trace-out", metavar="PATH",
+            help="write a run report (trace tree + metrics + "
+                 "environment) to this JSON file; inspect with "
+                 "'repro trace PATH'")
+        command.add_argument(
+            "--trace-deterministic", action="store_true",
+            help="strip clocks and host identity from the run report "
+                 "so two identical runs produce byte-identical files")
     return parser
 
 
@@ -354,7 +355,7 @@ def _process_registry(name: str):
     return registry[name]()
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, run: _Run) -> int:
     from repro.datamodel import DataTier, write_dataset
     from repro.generation import GeneratorConfig, ToyGenerator
     from repro.obs import active
@@ -362,8 +363,7 @@ def _cmd_generate(args) -> int:
     generator = ToyGenerator(GeneratorConfig(
         processes=[_process_registry(args.process)], seed=args.seed,
     ))
-    tracer, obs_metrics = _trace_context(args, "generate")
-    obs = active(tracer)
+    obs = active(run.tracer)
     with obs.span("generate.events", n_events=args.events):
         records = [event.to_dict()
                    for event in generator.stream(args.events)]
@@ -372,13 +372,8 @@ def _cmd_generate(args) -> int:
             args.output, f"gen-{args.process}", DataTier.GEN, records,
             provenance=generator.run_info.to_dict(),
         )
-    _write_trace(args, tracer, obs_metrics, provenance={
-        "command": "generate",
-        "process": args.process,
-        "seed": args.seed,
-        "output": str(args.output),
-        "dataset": header.dataset_name,
-    })
+    run.record(process=args.process, seed=args.seed,
+               output=str(args.output), dataset=header.dataset_name)
     print(f"wrote {header.n_events} GEN events to {args.output}")
     return 0
 
@@ -390,7 +385,7 @@ def _geometry_for(name: str):
             else forward_spectrometer())
 
 
-def _cmd_process(args) -> int:
+def _cmd_process(args, run: _Run) -> int:
     from repro.conditions import CachedConditionsView, default_conditions
     from repro.datamodel import (
         DataTier,
@@ -418,9 +413,8 @@ def _cmd_process(args) -> int:
     raws = [digitizer.digitize(simulation.simulate(event))
             for event in events]
     policy = ExecutionPolicy.from_jobs(args.jobs)
-    tracer, obs_metrics = _trace_context(args, "process")
     recos = reconstructor.reconstruct_many(
-        raws, policy, tracer=tracer, metrics=obs_metrics)
+        raws, policy, tracer=run.tracer, metrics=run.metrics)
     aods = [make_aod(reco) for reco in recos]
     header = write_dataset(
         args.output, f"aod-run{args.run}", DataTier.AOD,
@@ -431,18 +425,13 @@ def _cmd_process(args) -> int:
             "externals": reconstructor.external_dependencies(),
         },
     )
-    _write_trace(args, tracer, obs_metrics, provenance={
-        "command": "process",
-        "input": str(args.input),
-        "output": str(args.output),
-        "dataset": header.dataset_name,
-        "global_tag": args.global_tag,
-    })
+    run.record(input=str(args.input), output=str(args.output),
+               dataset=header.dataset_name, global_tag=args.global_tag)
     print(f"wrote {header.n_events} AOD events to {args.output}")
     return 0
 
 
-def _cmd_campaign(args) -> int:
+def _cmd_campaign(args, run: _Run) -> int:
     from repro.conditions import default_conditions
     from repro.datamodel import (
         DataTier,
@@ -479,9 +468,8 @@ def _cmd_campaign(args) -> int:
         seed=args.seed,
     )
     policy = ExecutionPolicy.from_jobs(args.jobs)
-    tracer, obs_metrics = _trace_context(args, "campaign")
     results = campaign.process(registry, good_runs, policy=policy,
-                               tracer=tracer, metrics=obs_metrics)
+                               tracer=run.tracer, metrics=run.metrics)
     aods = campaign.all_aods()
     header = write_dataset(
         args.output, f"aod-{args.name}", DataTier.AOD,
@@ -496,14 +484,10 @@ def _cmd_campaign(args) -> int:
         write_atomic(args.manifest, canonical_document(
             campaign.conditions_manifest(), indent=2), "conditions manifest")
         print(f"wrote conditions manifest to {args.manifest}")
-    _write_trace(args, tracer, obs_metrics, provenance={
-        "command": "campaign",
-        "campaign": campaign.name,
-        "global_tag": campaign.global_tag,
-        "output": str(args.output),
-        "runs": [str(run_number) for run_number in sorted(results)],
-        "conditions_manifest": campaign.conditions_manifest(),
-    })
+    run.record(campaign=campaign.name, global_tag=campaign.global_tag,
+               output=str(args.output),
+               runs=[str(run_number) for run_number in sorted(results)],
+               conditions_manifest=campaign.conditions_manifest())
     print(f"processed {len(results)} runs "
           f"({policy.mode}, {policy.n_jobs} jobs): "
           f"{header.n_events} AOD events -> {args.output}")
@@ -517,7 +501,7 @@ def _read_aods(path: str):
                                            AODEvent.from_dict))
 
 
-def _cmd_skim(args) -> int:
+def _cmd_skim(args, run: _Run) -> int:
     from repro.datamodel import DataTier, SkimSpec, write_dataset
 
     spec = SkimSpec.load(args.spec)
@@ -533,7 +517,7 @@ def _cmd_skim(args) -> int:
     return 0
 
 
-def _cmd_convert_level2(args) -> int:
+def _cmd_convert_level2(args, run: _Run) -> int:
     from repro.datamodel import DataTier, write_dataset
     from repro.outreach import Level2Converter
 
@@ -551,7 +535,7 @@ def _cmd_convert_level2(args) -> int:
     return 0
 
 
-def _cmd_display(args) -> int:
+def _cmd_display(args, run: _Run) -> int:
     from repro.datamodel import DataTier, DatasetReader
     from repro.outreach import (
         EventDisplayRecord,
@@ -579,7 +563,7 @@ def _cmd_display(args) -> int:
     return 0
 
 
-def _cmd_validate_bundle(args) -> int:
+def _cmd_validate_bundle(args, run: _Run) -> int:
     from repro.core import PreservedAnalysisBundle, revalidate
 
     bundle = PreservedAnalysisBundle.load(args.bundle)
@@ -601,7 +585,7 @@ def _parse_suppressions(entries: list[str]) -> dict:
     return suppressions
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, run: _Run) -> int:
     from repro.lint import (
         LintConfig,
         LintSession,
@@ -629,8 +613,7 @@ def _cmd_lint(args) -> int:
     config = LintConfig(select=tuple(args.select),
                         ignore=tuple(args.ignore),
                         suppressions=_parse_suppressions(args.suppress))
-    tracer, obs_metrics = _trace_context(args, "lint")
-    session = LintSession(config, tracer=tracer, metrics=obs_metrics)
+    session = LintSession(config, tracer=run.tracer, metrics=run.metrics)
     graph_passes = [(name, findings) for name, wanted, findings in (
         ("lint.flow", args.deep, deep_findings),
         ("lint.par", args.deep or args.par, par_findings),
@@ -652,8 +635,8 @@ def _cmd_lint(args) -> int:
                         session.extend(findings(graph))
             span.set("n_findings",
                      len(session.report().findings) - before)
-        if obs_metrics is not None:
-            obs_metrics.histogram("lint.target_seconds").observe(
+        if run.metrics is not None:
+            run.metrics.histogram("lint.target_seconds").observe(
                 clock.now() - started)
 
     with session.obs.span("lint.run", n_targets=len(args.targets),
@@ -669,12 +652,8 @@ def _cmd_lint(args) -> int:
             lint_target("<bundled>", lint_bundled_artifacts,
                         standard_analyses.__file__)
     report = session.report()
-    _write_trace(args, tracer, obs_metrics, provenance={
-        "command": "lint",
-        "targets": [str(target) for target in args.targets],
-        "bundled": bool(args.bundled),
-        "exit_code": report.exit_code,
-    })
+    run.record(targets=[str(target) for target in args.targets],
+               bundled=bool(args.bundled), exit_code=report.exit_code)
     if args.output_format == "json":
         print(render_json(report))
     else:
@@ -682,7 +661,7 @@ def _cmd_lint(args) -> int:
     return report.exit_code
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args, run: _Run) -> int:
     from repro.lint import (
         LintReport,
         check_manifest_against_archive,
@@ -730,28 +709,26 @@ def _cmd_closure(args) -> int:
     return report.exit_code
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args, run: _Run) -> int:
     from repro.obs import RunReport, render_trace
 
     print(render_trace(RunReport.load(args.report)))
     return 0
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args, run: _Run) -> int:
     from repro.core.canonical import canonical_text
-    from repro.obs import RunReport, render_metrics, render_prometheus
+    from repro.obs import RunReport, render_prometheus
 
     report = RunReport.load(args.report)
     if args.output_format == "json":
         print(canonical_text(report.metrics))
-    elif args.output_format == "prom":
-        sys.stdout.write(render_prometheus(report.metrics))
     else:
-        print(render_metrics(report.metrics))
+        sys.stdout.write(render_prometheus(report.metrics))
     return 0
 
 
-def _cmd_health(args) -> int:
+def _cmd_health(args, run: _Run) -> int:
     from repro.obs import HealthReport, render_health
 
     report = HealthReport.load(args.report)
@@ -762,7 +739,7 @@ def _cmd_health(args) -> int:
     return report.exit_code()
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, run: _Run) -> int:
     from repro.obs import RunReport, SpanProfile, render_profile
 
     profile = SpanProfile.from_report(RunReport.load(args.report))
@@ -779,7 +756,7 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args, run: _Run) -> int:
     from repro.obs import SLOSpec, evaluate_slo
     from repro.runtime import ExecutionPolicy
     from repro.service import (
@@ -807,9 +784,8 @@ def _cmd_serve(args) -> int:
     api = demo_api(n_events=args.events, n_limit_toys=args.toys,
                    seed=args.seed)
     policy = ExecutionPolicy.from_jobs(args.jobs)
-    tracer, obs_metrics = _trace_context(args, "serve")
     service, tickets = run_script(api, script, policy=policy,
-                                  tracer=tracer, metrics=obs_metrics)
+                                  tracer=run.tracer, metrics=run.metrics)
 
     for ticket in tickets:
         request = api.get_request(ticket.request_id)
@@ -832,16 +808,12 @@ def _cmd_serve(args) -> int:
         health.save(args.health_out)
         print(f"wrote health report ({health.verdict}) to "
               f"{args.health_out}")
-    _write_trace(args, tracer, obs_metrics, provenance={
-        "command": "serve",
-        "script": str(args.script) if args.script else "<demo>",
-        "n_submissions": len(tickets),
-        "n_events": len(service.events),
-    })
+    run.record(script=str(args.script) if args.script else "<demo>",
+               n_submissions=len(tickets), n_events=len(service.events))
     return 0
 
 
-def _cmd_interview(args) -> int:
+def _cmd_interview(args, run: _Run) -> int:
     from repro.experiments import get_experiment
     from repro.interview import response_for_experiment
     from repro.interview.report import interview_report
@@ -851,14 +823,14 @@ def _cmd_interview(args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args, run: _Run) -> int:
     from repro.experiments import lhc_experiments, render_table1
 
     print(render_table1(lhc_experiments()))
     return 0
 
 
-def _cmd_maturity(args) -> int:
+def _cmd_maturity(args, run: _Run) -> int:
     from repro.experiments import all_experiments
     from repro.interview.report import render_maturity_table
 
@@ -889,10 +861,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run = _Run(args.command, traced=bool(args.trace_out))
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args, run)
+        if run.tracer is not None:
+            run.save(args.trace_out, args.trace_deterministic)
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

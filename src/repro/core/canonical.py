@@ -106,6 +106,7 @@ def write_atomic(path, data: bytes, what: str) -> None:
     temporary = path.parent / (
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
+        # lint: ignore[DAS004] -- the one artifact writer's temporary file
         temporary.write_bytes(data)
         # lint: ignore[DAS004] -- the one artifact writer
         os.replace(temporary, path)

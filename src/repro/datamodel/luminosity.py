@@ -120,6 +120,14 @@ class GoodRunList:
     def certify(self, run_number: int, first_section: int,
                 last_section: int) -> None:
         """Mark a section range of a run as good."""
+        # Booleans are ints and NaN fails every comparison, so both
+        # would pass the range check below; refuse them first.
+        for number in (run_number, first_section, last_section):
+            if not isinstance(number, int) or isinstance(number, bool):
+                raise DataModelError(
+                    f"run {run_number!r}: run and section numbers must "
+                    f"be integers, got {number!r}"
+                )
         if first_section < 1 or last_section < first_section:
             raise DataModelError(
                 f"bad section range [{first_section}, {last_section}]"
@@ -186,7 +194,7 @@ class GoodRunList:
         grl = cls(name=str(record["name"]))
         for run, run_ranges in record.get("ranges", {}).items():
             for first, last in run_ranges:
-                grl.certify(int(run), int(first), int(last))
+                grl.certify(int(run), first, last)
         return grl
 
     def save(self, path: str | Path) -> None:

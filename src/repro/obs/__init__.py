@@ -25,7 +25,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     is_timing_metric,
-    render_metrics,
 )
 from repro.obs.profile import (
     PROFILE_FORMAT,
@@ -137,7 +136,6 @@ __all__ = [
     "parse_prometheus",
     "quantile_label",
     "render_health",
-    "render_metrics",
     "render_profile",
     "render_prometheus",
     "render_trace",

@@ -270,48 +270,3 @@ class MetricsRegistry:
     def to_json_bytes(self, *, deterministic: bool = False) -> bytes:
         """Deterministic bytes: sorted keys, fixed indent, one LF."""
         return canonical_document(self.snapshot(deterministic=deterministic))
-
-
-def render_metrics(snapshot: dict) -> str:
-    """Plain-text rendering of one metrics snapshot.
-
-    Label values are escaped Prometheus-style (backslash, quote, and
-    newline) so a label carrying arbitrary text — a dataset title, a
-    file path — can never corrupt the line structure of the rendering.
-    For the full ``# HELP``/``# TYPE`` exposition document, see
-    :func:`repro.obs.promexport.render_prometheus`.
-    """
-    from repro.obs.promexport import escape_label_value
-
-    lines: list[str] = []
-
-    def label_suffix(labels: dict) -> str:
-        if not labels:
-            return ""
-        inner = ",".join(
-            f'{k}="{escape_label_value(v)}"'
-            for k, v in sorted(labels.items())
-        )
-        return "{" + inner + "}"
-
-    for counter in snapshot.get("counters", []):
-        lines.append(f"counter   {counter['name']}"
-                     f"{label_suffix(counter['labels'])} "
-                     f"= {counter['value']}")
-    for gauge in snapshot.get("gauges", []):
-        lines.append(f"gauge     {gauge['name']}"
-                     f"{label_suffix(gauge['labels'])} "
-                     f"= {gauge['value']:.6g}")
-    for histogram in snapshot.get("histograms", []):
-        lines.append(f"histogram {histogram['name']}"
-                     f"{label_suffix(histogram['labels'])} "
-                     f"count={histogram['count']} "
-                     f"sum={histogram['sum']:.6g}")
-        bounds = histogram["buckets"]
-        counts = histogram["counts"]
-        for bound, count in zip(bounds, counts):
-            lines.append(f"            le {bound:g}: {count}")
-        lines.append(f"            overflow: {counts[len(bounds)]}")
-    if not lines:
-        lines.append("(no metrics recorded)")
-    return "\n".join(lines)

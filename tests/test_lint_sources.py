@@ -205,6 +205,32 @@ def test_das004_triggers_on_shutil():
     assert "DAS004" in codes(source)
 
 
+def test_das004_triggers_on_write_through_a_path_variable():
+    source = """
+    def dump(p, text):
+        p.write_text(text)
+    """
+    assert "DAS004" in codes(source)
+
+
+def test_das004_triggers_on_write_through_an_attribute():
+    source = """
+    class Writer:
+        def close(self, data):
+            self.path.write_bytes(data)
+    """
+    assert "DAS004" in codes(source)
+
+
+def test_das004_clean_on_stream_write_and_str_replace():
+    source = """
+    def emit(handle, text):
+        handle.write(text.replace("a", "b"))
+        return str.replace(text, "a", "b")
+    """
+    assert codes(source) == []
+
+
 def test_das004_clean_without_file_io():
     source = """
     def ht(jets):

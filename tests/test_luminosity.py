@@ -69,6 +69,20 @@ class TestGoodRunList:
         with pytest.raises(DataModelError):
             grl.certify(1, 10, 5)
 
+    @pytest.mark.parametrize("numbers", [
+        (1, 1, float("nan")),
+        (1, float("nan"), 10),
+        (1, 1, 10.0),
+        (1.0, 1, 10),
+        (True, 1, 10),
+        (1, True, 10),
+    ])
+    def test_non_integer_numbers_rejected(self, numbers):
+        grl = GoodRunList("GRL-test")
+        with pytest.raises(DataModelError, match="run "):
+            grl.certify(*numbers)
+        assert grl.ranges == {}
+
     def test_certified_luminosity(self, registry):
         grl = GoodRunList("GRL-test")
         grl.certify(1, 1, 100)
@@ -107,6 +121,13 @@ class TestGoodRunList:
         path = tmp_path / "other.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(PersistenceError):
+            GoodRunList.load(path)
+
+    def test_load_refuses_a_fractional_section(self, tmp_path):
+        path = tmp_path / "grl.json"
+        path.write_text('{"format": "repro-good-run-list", "name": "g", '
+                        '"ranges": {"1": [[1, 10.7]]}}')
+        with pytest.raises(PersistenceError, match="run 1"):
             GoodRunList.load(path)
 
 

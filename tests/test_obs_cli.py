@@ -80,7 +80,10 @@ class TestTraceOut:
                      "--output", str(tmp_path / "aods.jsonl"),
                      "--trace-out", str(tmp_path / "rr.json"),
                      "--trace-deterministic"]) == 0
-        assert "wrote run report" in capsys.readouterr().out
+        # The status line goes to stderr: stdout may be a JSON document.
+        captured = capsys.readouterr()
+        assert "wrote run report" in captured.err
+        assert "wrote run report" not in captured.out
 
     def test_without_flag_no_report_is_written(self, tmp_path):
         assert main(["campaign", "--name", "obs-cli", "--runs", "1",
@@ -166,6 +169,16 @@ class TestLintTraceOut:
                     for c in report.metrics["counters"]}
         assert any(name == "lint.findings" for name, _ in counters)
 
+    def test_json_stdout_stays_json_when_traced(self, tmp_path, capsys):
+        target = tmp_path / "analysis.py"
+        target.write_text("import time\nnow = time.time()\n")
+        report_path = tmp_path / "runreport.json"
+        main(["lint", "--deep", "--format", "json", str(target),
+              "--trace-out", str(report_path)])
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["findings"]
+        assert "wrote run report" in captured.err
+
     def test_deep_lint_opens_one_span_per_pass(self, tmp_path):
         target = tmp_path / "analysis.py"
         target.write_text("import time\nnow = time.time()\n")
@@ -194,7 +207,8 @@ class TestTraceAndMetricsCommands:
     def test_metrics_renders_text(self, traced_campaign, capsys):
         assert main(["metrics", str(traced_campaign)]) == 0
         out = capsys.readouterr().out
-        assert "campaign.runs" in out
+        assert "# TYPE campaign_runs_total counter" in out
+        assert "campaign_runs_total" in out
 
     def test_metrics_json_mode(self, traced_campaign, capsys):
         assert main(["metrics", str(traced_campaign),
@@ -208,3 +222,107 @@ class TestTraceAndMetricsCommands:
         path = tmp_path / "not-a-report.json"
         path.write_text("{}")
         assert main(["trace", str(path)]) != 0
+
+
+#: A small command line for every subcommand, two where an early
+#: return writes a report too. ``{inputs}`` is the shared input
+#: directory; outputs are relative, so they land in the run directory.
+_COMMAND_LINES = {
+    "generate": ["--events 3 --seed 5 --output gen.jsonl"],
+    "process": ["--input {inputs}/gen.jsonl --output aod.jsonl --run 7"],
+    "campaign": ["--runs 1 --sections 2 --output camp.jsonl "
+                 "--manifest manifest.json"],
+    "skim": ["--input {inputs}/aod.jsonl --spec {inputs}/skim.json "
+             "--output skim.jsonl"],
+    "convert-level2": ["--input {inputs}/aod.jsonl --output l2.jsonl"],
+    "display": ["--input {inputs}/l2.jsonl",
+                "--input {inputs}/l2.jsonl --svg event.svg"],
+    "validate-bundle": ["--bundle {inputs}/bundle.json"],
+    "lint": ["{inputs}/analysis.py --deep --format json",
+             "--list-rules"],
+    "closure": ["{closure} --output closure.json", "{closure}"],
+    "trace": ["{inputs}/report.json"],
+    "metrics": ["{inputs}/report.json",
+                "{inputs}/report.json --format json"],
+    "health": ["{inputs}/health.json --format json"],
+    "profile": ["{inputs}/report.json --collapsed stacks.folded "
+                "--format json"],
+    "serve": ["--events 3 --toys 10 --event-log events.jsonl "
+              "--telemetry-out telemetry.json --health-out health.json",
+              "--write-script script.json"],
+    "interview": ["--experiment CMS"],
+    "table1": [""],
+    "maturity": [""],
+}
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory, z_aods):
+    """The input files the command lines above read."""
+    from repro.core import PreservedAnalysisBundle
+    from repro.datamodel import CountCut, SkimSpec, SlimSpec
+
+    inputs = tmp_path_factory.mktemp("command_inputs")
+    assert main(["generate", "--events", "4", "--seed", "3",
+                 "--output", str(inputs / "gen.jsonl"),
+                 "--trace-out", str(inputs / "report.json")]) == 0
+    assert main(["process", "--input", str(inputs / "gen.jsonl"),
+                 "--output", str(inputs / "aod.jsonl")]) == 0
+    assert main(["convert-level2", "--input", str(inputs / "aod.jsonl"),
+                 "--output", str(inputs / "l2.jsonl")]) == 0
+    assert main(["serve", "--events", "3", "--toys", "10",
+                 "--health-out", str(inputs / "health.json")]) == 0
+    (inputs / "skim.json").write_text(json.dumps({
+        "name": "mu", "cut": {"kind": "count", "collection": "muons",
+                              "min_count": 1, "min_pt": 10.0}}))
+    bundle = PreservedAnalysisBundle.create(
+        "cli-bundle", z_aods[:10], SkimSpec("s", CountCut("muons", 1)),
+        SlimSpec("n", ("met",)))
+    (inputs / "bundle.json").write_text(json.dumps(bundle.to_dict()))
+    (inputs / "analysis.py").write_text("import time\nnow = time.time()\n")
+    return inputs
+
+
+def _command_cases():
+    from repro.cli import _COMMANDS
+
+    return [pytest.param(command, line, id=f"{command}:{line}")
+            for command in sorted(_COMMANDS)
+            for line in _COMMAND_LINES[command]]
+
+
+class TestEveryCommandTraces:
+    """``main()`` writes a run report for every subcommand, and
+    tracing changes neither stdout nor any output file."""
+
+    def _run(self, monkeypatch, capsys, directory, argv):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        code = main(argv)
+        out = capsys.readouterr().out
+        files = {path.name: path.read_bytes()
+                 for path in directory.iterdir()}
+        return code, out, files
+
+    @pytest.mark.parametrize("command,line", _command_cases())
+    def test_report_and_unchanged_outputs(self, command, line,
+                                          command_inputs, tmp_path,
+                                          monkeypatch, capsys):
+        from repro.rivet import standard_analyses
+
+        argv = [command] + line.format(
+            inputs=command_inputs,
+            closure=standard_analyses.__file__).split()
+        traced = argv + ["--trace-out", "runreport.json",
+                         "--trace-deterministic"]
+        plain = self._run(monkeypatch, capsys, tmp_path / "plain", argv)
+        first = self._run(monkeypatch, capsys, tmp_path / "one", traced)
+        second = self._run(monkeypatch, capsys, tmp_path / "two", traced)
+
+        report = first[2].pop("runreport.json")
+        assert second[2].pop("runreport.json") == report
+        assert first == plain
+        assert second == plain
+        record = json.loads(report)
+        validate_run_report(record)
+        assert record["provenance"]["command"] == command

@@ -11,7 +11,6 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     is_timing_metric,
-    render_metrics,
 )
 from repro.runtime import ExecutionPolicy, parallel_map
 
@@ -190,24 +189,3 @@ class TestSnapshot:
         snapshot = self._populated().snapshot(deterministic=True)
         values = {c["name"]: c["value"] for c in snapshot["counters"]}
         assert values == {"a.events": 1, "b.events": 3}
-
-    def test_render_metrics_lists_every_instrument(self):
-        text = render_metrics(self._populated().snapshot())
-        assert "a.events" in text
-        assert "pool_utilization" in text
-        assert "chunk_seconds" in text
-        assert "count=1" in text
-
-    def test_render_includes_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("findings", code="DAS113").inc()
-        text = render_metrics(registry.snapshot())
-        assert 'findings{code="DAS113"}' in text
-
-    def test_render_escapes_hostile_label_values(self):
-        registry = MetricsRegistry()
-        registry.counter("findings", path='a"b\\c\nd').inc()
-        text = render_metrics(registry.snapshot())
-        assert 'findings{path="a\\"b\\\\c\\nd"}' in text
-        # The escaped rendering stays one line per sample.
-        assert all(line.count("{") <= 1 for line in text.splitlines())
