@@ -865,19 +865,27 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(args.command, traced=bool(args.trace_out))
     try:
         code = _COMMANDS[args.command](args, run)
-        if run.tracer is not None:
-            run.save(args.trace_out, args.trace_deterministic)
-        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # A failed run still gets its report: the spans that finished
+        # and the error that ended it.
+        run.record(error=str(exc))
+        code = 2
     except BrokenPipeError:
         # Output piped into a pager/head that exited early; not an
         # error in the command itself. Detach stdout so the interpreter
         # does not raise again while flushing at shutdown.
+        # lint: ignore[DAS004] -- opens the null device, not an artifact
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    if run.tracer is not None:
+        try:
+            run.save(args.trace_out, args.trace_deterministic)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -135,6 +135,7 @@ class DatasetReader:
 
     def _read_header(self) -> DatasetHeader:
         try:
+            # lint: ignore[DAS004] -- the streaming dataset reader
             with self.path.open("rb") as handle:
                 first_line = handle.readline()
         except OSError as exc:
@@ -165,6 +166,7 @@ class DatasetReader:
         return record
 
     def _numbered(self) -> Iterator[tuple[int, dict]]:
+        # lint: ignore[DAS004] -- the streaming dataset reader
         with self.path.open("rb") as handle:
             handle.readline()  # skip the header
             for line_number, line in enumerate(handle, start=2):

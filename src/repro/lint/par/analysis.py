@@ -4,10 +4,10 @@ The scan tables attach direct hazards to functions; this layer asks
 the two questions the parallel contract cares about:
 
 *Can a pool worker reach that hazard?* Worker roots are resolved from
-every dispatch site (:mod:`repro.runtime.workers`) in the target
-modules — through ``functools.partial`` wrappers and lambda bodies —
-then hazards are propagated backwards along the call graph's resolved
-edges. Edges into ``module:<module>`` pseudo-nodes are deliberately
+every dispatch site (a :func:`repro.runtime.parallel_map` call) in
+the target modules — through ``functools.partial`` wrappers and lambda
+bodies — then hazards are propagated backwards along the call graph's
+resolved edges. Edges into ``module:<module>`` pseudo-nodes are deliberately
 *not* followed: import-time initialisation is serialised by the import
 lock and already policed by DAS006/DAS206, so a module-level registry
 build is not a parallel hazard.
@@ -157,7 +157,7 @@ class _ParAnalysis(ChainAnalysis):
                 for root in resolved:
                     roots.setdefault(root, []).append(site)
         for sites in roots.values():
-            sites.sort(key=lambda s: (s.module, s.line, s.dispatcher))
+            sites.sort(key=lambda s: (s.module, s.line))
         return roots
 
     def _unpicklable_finding(self, site: DispatchSite,
@@ -166,7 +166,7 @@ class _ParAnalysis(ChainAnalysis):
                         {RULE_PAR_UNPICKLABLE.code}):
             return
         self.findings.append(RULE_PAR_UNPICKLABLE.finding(
-            f"{site.dispatcher}() dispatches {description} as a "
+            f"parallel_map() dispatches {description} as a "
             f"parallel worker; process pools cannot pickle it, so "
             f"the call dies under mode='process' only",
             artifact=readable(site.scope.qualname),
@@ -202,7 +202,7 @@ class _ParAnalysis(ChainAnalysis):
             self.report_chains(
                 root, _PROPAGATED,
                 f"parallel worker {readable(root)!r} (dispatched by "
-                f"{site.dispatcher}() at "
+                f"parallel_map() at "
                 f"{self._module_file(site.module)}:{site.line})",
                 artifact=readable(root))
         self._kernel_findings()

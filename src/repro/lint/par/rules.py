@@ -4,11 +4,10 @@
 inspect one statement, ``DAS2xx`` rules carry impurity facts to
 ``Analysis`` entry points; these rules reason about the *parallel
 execution contract*: every callable statically reachable as a worker
-of a registered dispatch point (:mod:`repro.runtime.workers`) must be
-a pure function of its declared inputs, every ``@equivalence_tier``
-kernel must honour the tier it declares
-(:mod:`repro.columnar.tiers`), and no numpy kernel may mutate or
-alias caller-owned buffers.
+handed to :func:`repro.runtime.parallel_map` must be a pure function
+of its declared inputs, every ``@equivalence_tier`` kernel must honour
+the tier it declares (:mod:`repro.columnar.tiers`), and no numpy
+kernel may mutate or alias caller-owned buffers.
 
 DAS301–DAS304 are the closure/shared-state escape rules, DAS305–306
 the RNG-stream discipline, DAS307–309 the numpy aliasing/in-place

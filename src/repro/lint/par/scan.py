@@ -5,9 +5,9 @@ answer *what each function does that a pool must care about*: writes
 to shared state, undisciplined randomness, in-place mutation of
 caller-owned arrays, order-sensitive float accumulation, equivalence
 tier declarations, and the dispatch sites that hand workers to a pool
-(:mod:`repro.runtime.workers`). They classify the fact walk's record
-of each function (:mod:`repro.lint.flow.factwalk`); nothing is walked,
-imported or executed. Facts carry the same ``module:func`` /
+(calls of :func:`repro.runtime.parallel_map`). They classify the fact
+walk's record of each function (:mod:`repro.lint.flow.factwalk`);
+nothing is walked, imported or executed. Facts carry the same ``module:func`` /
 ``module:Class.method`` qualnames the call graph uses so the analysis
 layer can carry them along call edges.
 """
@@ -28,7 +28,6 @@ from repro.lint.flow.factwalk import (
     root_name,
 )
 from repro.lint.pycheck import _dotted_name
-from repro.runtime.workers import WorkerDispatch, dispatch_for
 
 #: Method names that draw from (i.e. advance) a random stream.
 _RNG_DRAW_METHODS = {
@@ -63,10 +62,9 @@ _RNG_FACTS = {
 
 @dataclass(frozen=True)
 class DispatchSite:
-    """One call handing a worker callable to a registered pool."""
+    """One ``parallel_map`` call handing a worker callable to a pool."""
 
     module: str
-    dispatcher: str
     line: int
     #: The enclosing function (or pseudo-node).
     scope: Scope
@@ -247,32 +245,34 @@ def tier_problem(tier: str | None) -> str | None:
     return None
 
 
-def _worker_argument(call: ast.Call,
-                     dispatch: WorkerDispatch) -> ast.expr | None:
-    """The expression travelling in the dispatcher's worker slot."""
-    if len(call.args) > dispatch.arg_position:
-        return call.args[dispatch.arg_position]
+def _worker_argument(call: ast.Call) -> ast.expr | None:
+    """The expression travelling in ``parallel_map``'s worker slot:
+    position 0 or keyword ``fn``."""
+    if call.args:
+        return call.args[0]
     for keyword in call.keywords:
-        if keyword.arg == dispatch.keyword:
+        if keyword.arg == "fn":
             return keyword.value
     return None
 
 
 def dispatch_sites(name: str, module: ModuleFacts) -> list[DispatchSite]:
-    """The body calls of one module that hand a worker to a registered
-    pool; one scope's sites in statement order."""
+    """The body calls of one module that hand a worker to
+    ``parallel_map``; one scope's sites in statement order."""
     sites: list[DispatchSite] = []
     for scope in module.scopes:
         for node, _, in_body, _ in sorted(scope.calls, key=itemgetter(1)):
             dotted = _dotted_name(node.func)
-            if not in_body or dotted is None:
+            # Matched by the last dotted segment: the analyzer sees
+            # ``repro.runtime.scheduler.parallel_map`` in one tree and
+            # a bare ``parallel_map`` import alias in another.
+            if (not in_body or dotted is None
+                    or dotted.rpartition(".")[2] != "parallel_map"):
                 continue
-            dispatch = dispatch_for(dotted)
-            worker = (None if dispatch is None
-                      else _worker_argument(node, dispatch))
+            worker = _worker_argument(node)
             if worker is None:
                 continue
             sites.append(DispatchSite(
-                module=name, dispatcher=dispatch.name, line=node.lineno,
-                scope=scope, worker=worker))
+                module=name, line=node.lineno, scope=scope,
+                worker=worker))
     return sites

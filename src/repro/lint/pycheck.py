@@ -137,9 +137,10 @@ _PATH_METHODS = {
     "mkdir", "rmdir", "touch", "rename", "replace", "open",
 }
 
-#: Methods that write a file whatever their receiver, so a write
-#: through a path variable (``self.path.write_bytes(...)``) is seen too.
-_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
+#: Methods that open or write a file whatever their receiver, so an
+#: access through a path variable (``self.path.open("wb")``,
+#: ``self.path.write_bytes(...)``) is seen too.
+_FILE_METHODS = frozenset({"open", "write_text", "write_bytes"})
 
 
 #: Resolved names whose read reads the environment.
@@ -172,7 +173,7 @@ def _classify_call(node: ast.Call, resolve) -> tuple | None:
                     and resolve(receiver) in ("pathlib.Path", "Path")):
                 return ("filesystem",
                         f"Path(...).{method}() outside the archive API")
-        return _write_method_call(node.func)
+        return _file_method_call(node.func)
     dotted = resolve(dotted)
     if dotted in _WALLCLOCK_CALLS:
         return "wall-clock", f"wall-clock call {dotted}()"
@@ -200,12 +201,12 @@ def _classify_call(node: ast.Call, resolve) -> tuple | None:
         return "filesystem", f"filesystem call {dotted}()"
     if dotted in ("os.getenv", "os.environ.get"):
         return "env-read", f"environment read via {dotted}()"
-    return _write_method_call(node.func)
+    return _file_method_call(node.func)
 
 
-def _write_method_call(func: ast.expr) -> tuple | None:
-    """``filesystem`` for ``<anything>.write_text/write_bytes(...)``."""
-    if isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
+def _file_method_call(func: ast.expr) -> tuple | None:
+    """``filesystem`` for ``<anything>.open/write_text/write_bytes(...)``."""
+    if isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS:
         return "filesystem", f".{func.attr}() outside the archive API"
     return None
 

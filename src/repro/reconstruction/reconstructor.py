@@ -10,6 +10,7 @@ workflow layer can enumerate external dependencies for preservation.
 
 from __future__ import annotations
 
+import copy
 import functools
 from typing import Protocol
 
@@ -30,7 +31,7 @@ from repro.reconstruction.objects import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active
 from repro.reconstruction.tracking import TrackFinder, TrackFinderConfig
-from repro.runtime import ExecutionPolicy, chunked, default_chunk_size, parallel_map
+from repro.runtime import ExecutionPolicy, parallel_map
 
 
 class ConditionsSource(Protocol):
@@ -163,17 +164,17 @@ class Reconstructor:
         self,
         raw_events: list[RawEvent],
         policy: ExecutionPolicy | None = None,
-        chunk_size: int | None = None,
         *,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> list[RecoEvent]:
         """Reconstruct a list of RAW events in order.
 
-        Under a parallel ``policy`` the events are split into contiguous
-        chunks, each chunk is reconstructed by an isolated worker clone,
-        and both the RECO events *and* the workers' conditions reads are
-        merged back in chunk order — so the output list and the
+        Under a parallel ``policy`` the events fan out through
+        :func:`parallel_map` (chunked by the policy), each event is
+        reconstructed by an isolated worker clone, and both the RECO
+        events *and* the workers' conditions reads are merged back in
+        input order — so the output list and the
         :attr:`conditions_reads` log are bit-identical to the serial
         loop. Event reconstruction is pure per event (no cross-event
         state), which is what makes the chunk boundary free to move.
@@ -193,22 +194,15 @@ class Reconstructor:
             self._record_reco_metrics(metrics, len(recos),
                                       reads_before)
             return recos
-        events = list(raw_events)
-        if not events:
-            return []
-        size = (chunk_size if chunk_size is not None
-                else policy.chunk_size if policy.chunk_size is not None
-                else default_chunk_size(len(events), policy.n_jobs))
-        chunks = list(chunked(events, size))
-        worker = functools.partial(_reconstruct_chunk, self)
+        worker = functools.partial(_reconstruct_event, self)
         recos = []
-        with obs.span("reco.reconstruct_many", n_events=len(events),
-                      n_chunks=len(chunks), mode=policy.mode):
-            for chunk_recos, chunk_reads in parallel_map(
-                    worker, chunks, policy, chunk_size=1,
-                    tracer=tracer, metrics=metrics):
-                recos.extend(chunk_recos)
-                self._conditions_reads.extend(chunk_reads)
+        with obs.span("reco.reconstruct_many",
+                      n_events=len(raw_events), mode=policy.mode):
+            for reco, reads in parallel_map(worker, raw_events, policy,
+                                            tracer=tracer,
+                                            metrics=metrics):
+                recos.append(reco)
+                self._conditions_reads.extend(reads)
         self._record_reco_metrics(metrics, len(recos), reads_before)
         return recos
 
@@ -222,20 +216,16 @@ class Reconstructor:
             len(self._conditions_reads) - reads_before)
 
     def _clone_for_worker(self) -> "Reconstructor":
-        """A fresh reconstructor with this one's exact configuration.
+        """This reconstructor with an empty conditions-read log.
 
-        Shares the (read-only) conditions source but owns an empty
-        conditions-read log, so concurrent workers never interleave
-        their dependency records.
+        The conditions source, finders and builders are read-only
+        after construction, so the clone shares them; only the read
+        log is its own, so concurrent workers never interleave their
+        dependency records.
         """
-        return Reconstructor(
-            self.geometry,
-            self.conditions,
-            track_config=self._track_finder.config,
-            cluster_config=self._clusterer.config,
-            object_config=self._object_builder.config,
-            jet_config=self._jet_finder.config,
-        )
+        clone = copy.copy(self)
+        clone._conditions_reads = []
+        return clone
 
     @property
     def conditions_reads(self) -> list[tuple[str, int]]:
@@ -263,11 +253,10 @@ class Reconstructor:
         }
 
 
-def _reconstruct_chunk(
-    reconstructor: Reconstructor, chunk: list[RawEvent]
-) -> tuple[list[RecoEvent], list[tuple[str, int]]]:
-    """Worker-side chunk driver (module-level so process pools can
-    pickle it). Clones per chunk so thread workers are isolated too."""
+def _reconstruct_event(
+    reconstructor: Reconstructor, raw: RawEvent
+) -> tuple[RecoEvent, list[tuple[str, int]]]:
+    """Worker-side event driver (module-level so process pools can
+    pickle it). Clones per event so thread workers are isolated too."""
     worker = reconstructor._clone_for_worker()
-    recos = [worker.reconstruct(raw) for raw in chunk]
-    return recos, worker.conditions_reads
+    return worker.reconstruct(raw), worker.conditions_reads

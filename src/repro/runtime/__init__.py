@@ -17,12 +17,6 @@ from repro.runtime.scheduler import (
     derive_seed,
     parallel_map,
 )
-from repro.runtime.workers import (
-    WorkerDispatch,
-    dispatch_for,
-    register_worker_dispatcher,
-    worker_dispatchers,
-)
 
 __all__ = [
     "MODES",
@@ -30,12 +24,8 @@ __all__ = [
     "ExecutionPolicy",
     "LogicalClock",
     "MonotonicClock",
-    "WorkerDispatch",
     "chunked",
     "default_chunk_size",
     "derive_seed",
-    "dispatch_for",
     "parallel_map",
-    "register_worker_dispatcher",
-    "worker_dispatchers",
 ]

@@ -11,8 +11,8 @@ concurrently":
    Reproducibility is the preservation claim; a scheduler that traded it
    for speed would defeat the point of the archive it accelerates.
 3. **Deterministic chunking** — items are split into contiguous chunks of
-   a size that depends only on ``(len(items), n_jobs, chunk_size)``, never
-   on timing, so any per-chunk work (e.g. seeding) is reproducible too.
+   a size that depends only on ``len(items)`` and the policy, never on
+   timing, so any per-chunk work (e.g. seeding) is reproducible too.
 
 Worker functions destined for a process pool must be picklable: a
 module-level function, or :func:`functools.partial` over one.
@@ -70,20 +70,18 @@ def default_chunk_size(n_items: int, n_jobs: int) -> int:
     return max(1, -(-n_items // max(1, n_jobs * 4)))
 
 
-def _apply_chunk(fn: Callable, chunk: list) -> list:
-    """Worker-side driver: apply ``fn`` to one contiguous chunk."""
-    return [fn(item) for item in chunk]
+def _apply_chunk(fn: Callable, index: int, chunk: list,
+                 timed: bool) -> tuple[list, list]:
+    """Worker-side driver: apply ``fn`` to one contiguous chunk.
 
-
-def _apply_chunk_observed(fn: Callable, index: int,
-                          chunk: list) -> tuple[list, list]:
-    """Traced worker-side driver: one span per chunk.
-
-    The span is recorded into a worker-local tracer (drivers and
-    workers never share one) and shipped back with the results; the
-    driver adopts it in submission order, so the merged trace is
-    independent of worker finish order.
+    A ``timed`` chunk runs inside one ``runtime.chunk`` span, recorded
+    into a worker-local tracer (drivers and workers never share one)
+    and shipped back with the results; the driver reads its timing and
+    adopts it in submission order, so the merged trace is independent
+    of worker finish order.
     """
+    if not timed:
+        return [fn(item) for item in chunk], []
     tracer = Tracer("worker")
     with tracer.span("runtime.chunk", chunk=index, n_items=len(chunk)):
         results = [fn(item) for item in chunk]
@@ -108,7 +106,6 @@ def parallel_map(
     items: Iterable,
     policy: ExecutionPolicy | None = None,
     *,
-    chunk_size: int | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> list:
@@ -116,15 +113,17 @@ def parallel_map(
 
     Serial policies (including ``policy=None``) run in the calling
     thread with no executor at all, so the default cost of the API is
-    one list comprehension. An exception raised by any ``fn(item)``
-    propagates to the caller unchanged under every policy.
+    one list comprehension. Pooled policies split the items into
+    contiguous chunks of ``policy.chunk_size`` items (by default
+    :func:`default_chunk_size`). An exception raised by any
+    ``fn(item)`` propagates to the caller unchanged under every policy.
 
     An enabled ``tracer`` records one ``runtime.parallel_map`` span plus
     a worker-timed ``runtime.chunk`` span per chunk (adopted back in
     submission order); ``metrics`` additionally receives chunk/item
     counters, chunk-duration and queue-wait histograms, and a
-    worker-utilization gauge. With both left at ``None`` the scheduler
-    behaves — and costs — exactly as before.
+    worker-utilization gauge. Either one makes the workers time their
+    chunks; with both left at ``None`` nothing is timed.
     """
     work = items if isinstance(items, Sequence) else list(items)
     obs = active(tracer)
@@ -140,31 +139,8 @@ def parallel_map(
         return results
     if not work:
         return []
-    size = (chunk_size if chunk_size is not None
-            else policy.chunk_size if policy.chunk_size is not None
-            else default_chunk_size(len(work), policy.n_jobs))
+    size = policy.chunk_size or default_chunk_size(len(work), policy.n_jobs)
     chunks = list(chunked(work, size))
-    if not observing:
-        results = []
-        with _make_executor(policy) as executor:
-            futures = [executor.submit(_apply_chunk, fn, chunk)
-                       for chunk in chunks]
-            # Collect in *submission* order — the order-preserving merge.
-            for future in futures:
-                results.extend(future.result())
-        return results
-    return _parallel_map_observed(fn, work, chunks, policy, obs, metrics)
-
-
-def _parallel_map_observed(
-    fn: Callable,
-    work: Sequence,
-    chunks: list[list],
-    policy: ExecutionPolicy,
-    obs: Tracer,
-    metrics: MetricsRegistry | None,
-) -> list:
-    """The instrumented pooled path of :func:`parallel_map`."""
     results: list = []
     busy = 0.0
     with obs.span("runtime.parallel_map", n_items=len(work),
@@ -173,36 +149,35 @@ def _parallel_map_observed(
         clock = MonotonicClock()
         started = clock.now()
         with _make_executor(policy) as executor:
-            submissions = []
-            for index, chunk in enumerate(chunks):
-                submissions.append((
-                    clock.now(),
-                    executor.submit(_apply_chunk_observed, fn, index,
-                                    chunk),
-                ))
+            submissions = [
+                (clock.now(), executor.submit(_apply_chunk, fn, index,
+                                              chunk, observing))
+                for index, chunk in enumerate(chunks)
+            ]
             # Collect in *submission* order — the order-preserving
             # merge, for results and worker spans alike.
             for submitted_at, future in submissions:
                 chunk_results, spans = future.result()
                 results.extend(chunk_results)
-                adopted = obs.adopt(spans, parent=outer)
-                if metrics is None or not adopted:
-                    continue
-                chunk_span = adopted[0]
-                busy += chunk_span.duration
-                metrics.histogram("runtime.chunk_seconds").observe(
-                    chunk_span.duration)
-                # Monotonic clocks share an epoch across local
-                # workers, so worker start minus driver submit is the
-                # time the chunk sat in the queue (clamped: clock
-                # granularity can make tiny waits read negative).
-                metrics.histogram("runtime.queue_wait_seconds").observe(
-                    max(0.0, chunk_span.start - submitted_at))
+                if metrics is not None:
+                    chunk_span = spans[0]
+                    busy += chunk_span.duration
+                    metrics.histogram("runtime.chunk_seconds").observe(
+                        chunk_span.duration)
+                    # Monotonic clocks share an epoch across local
+                    # workers, so worker start minus driver submit is
+                    # the time the chunk sat in the queue (clamped:
+                    # clock granularity can make tiny waits read
+                    # negative).
+                    metrics.histogram(
+                        "runtime.queue_wait_seconds").observe(
+                        max(0.0, chunk_span.start - submitted_at))
+                obs.adopt(spans, parent=outer)
         elapsed = clock.now() - started
-        if metrics is not None:
-            metrics.counter("runtime.items").inc(len(work))
-            metrics.counter("runtime.chunks").inc(len(chunks))
-            if elapsed > 0.0:
-                metrics.gauge("runtime.worker_utilization").set(
-                    min(1.0, busy / (elapsed * policy.n_jobs)))
+    if metrics is not None:
+        metrics.counter("runtime.items").inc(len(work))
+        metrics.counter("runtime.chunks").inc(len(chunks))
+        if elapsed > 0.0:
+            metrics.gauge("runtime.worker_utilization").set(
+                min(1.0, busy / (elapsed * policy.n_jobs)))
     return results

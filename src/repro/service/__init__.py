@@ -28,7 +28,6 @@ from repro.service.pool import (
     LeaseTask,
     WorkerCrash,
     execute_lease,
-    run_lease_batch,
 )
 from repro.service.queue import FairShareQueue, QueueEntry
 from repro.service.scheduler import RecastService, SubmitTicket
@@ -64,7 +63,6 @@ __all__ = [
     "demo_script",
     "execute_lease",
     "load_script",
-    "run_lease_batch",
     "run_script",
     "validate_script",
 ]

@@ -10,8 +10,9 @@ exactly like a worker that reported nothing, leaving the lease to
 expire and the retry machinery to recover — which is what a real
 killed process would look like.
 
-:func:`run_lease_batch` is the fan-out primitive, registered with
-:mod:`repro.runtime.workers` so the DAS3xx parallel-safety rules
+The scheduler fans a batch of lease tasks out with
+:func:`repro.runtime.parallel_map` directly, so outcomes come back in
+task order under every policy and the DAS3xx parallel-safety rules
 trace lease workers like any other pool worker.
 """
 
@@ -20,13 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ServiceError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.recast.backend import RecastBackend
 from repro.recast.catalog import PreservedSearch
 from repro.recast.requests import ModelSpec
 from repro.recast.results import RecastResult
-from repro.runtime import ExecutionPolicy, parallel_map
 
 #: Outcome statuses a lease worker can report.
 OUTCOME_OK = "ok"
@@ -88,25 +86,6 @@ def execute_lease(task: LeaseTask) -> LeaseOutcome:
                             status=OUTCOME_ERROR, error=str(exc))
     return LeaseOutcome(key=task.key, attempt=task.attempt,
                         status=OUTCOME_OK, result=result)
-
-
-def run_lease_batch(
-    fn,
-    tasks: list[LeaseTask],
-    policy: ExecutionPolicy | None = None,
-    *,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> list[LeaseOutcome]:
-    """Fan one batch of lease tasks out across the worker pool.
-
-    Outcomes come back in task order regardless of worker finish
-    order (the :func:`~repro.runtime.parallel_map` contract), so the
-    driver's commit sequence — and therefore the event log — is
-    deterministic under every :class:`~repro.runtime.ExecutionPolicy`.
-    """
-    return parallel_map(fn, tasks, policy, tracer=tracer,
-                        metrics=metrics)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.obs.telemetry import TelemetryHub
 from repro.obs.trace import Tracer, active
 from repro.recast.api import RecastAPI
 from repro.recast.requests import ModelSpec, RequestStatus
-from repro.runtime import ExecutionPolicy, LogicalClock
+from repro.runtime import ExecutionPolicy, LogicalClock, parallel_map
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.dedup import ResultCache, backend_fingerprint, dedup_key
 from repro.service.lease import LeaseTable
@@ -45,7 +45,6 @@ from repro.service.pool import (
     LeaseOutcome,
     LeaseTask,
     execute_lease,
-    run_lease_batch,
 )
 from repro.service.queue import FairShareQueue, QueueEntry
 
@@ -383,8 +382,10 @@ class RecastService:
         """Run the granted leases and commit surviving outcomes."""
         if not tasks:
             return 0
-        outcomes = run_lease_batch(execute_lease, tasks, self.policy,
-                                   metrics=self._metrics)
+        # Outcomes come back in task order under every policy, so the
+        # commit sequence -- and with it the event log -- is too.
+        outcomes = parallel_map(execute_lease, tasks, self.policy,
+                                metrics=self._metrics)
         committed = 0
         for outcome in outcomes:
             if outcome.status == OUTCOME_CRASHED:

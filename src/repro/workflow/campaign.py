@@ -124,9 +124,9 @@ class ProcessingCampaign:
                 max(1, int(n_sections * self.events_per_section)),
             )
             tasks.append((len(tasks), run_number, n_events))
-        template = self._worker_template()
-        template._observe_runs = obs.enabled or metrics is not None
-        worker = functools.partial(_process_run_worker, template)
+        worker = functools.partial(_process_run_worker,
+                                   self._worker_template(),
+                                   obs.enabled or metrics is not None)
         with obs.span("campaign.process", campaign=self.name,
                       global_tag=self.global_tag,
                       n_runs=len(tasks)) as sweep:
@@ -152,8 +152,7 @@ class ProcessingCampaign:
         return template
 
     def _process_run(self, run_number: int, n_events: int,
-                     run_index: int = 0) -> RunResult:
-        observe = getattr(self, "_observe_runs", False)
+                     run_index: int, observe: bool) -> RunResult:
         worker_tracer = Tracer("worker", enabled=observe)
         try:
             with worker_tracer.span("campaign.run", run=run_number,
@@ -258,8 +257,10 @@ class ProcessingCampaign:
         }
 
 
-def _process_run_worker(campaign: ProcessingCampaign,
+def _process_run_worker(campaign: ProcessingCampaign, observe: bool,
                         task: tuple[int, int, int]) -> RunResult:
-    """Module-level worker driver so process pools can pickle it."""
+    """Module-level worker driver so process pools can pickle it;
+    ``observe`` makes the run record its spans for the driver."""
     run_index, run_number, n_events = task
-    return campaign._process_run(run_number, n_events, run_index)
+    return campaign._process_run(run_number, n_events, run_index,
+                                 observe)

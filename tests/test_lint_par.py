@@ -14,8 +14,10 @@ from repro.cli import main
 from repro.columnar import declared_tier, declared_tiers, equivalence_tier
 from repro.errors import ConfigurationError
 from repro.lint import lint_tree_par
+from repro.lint.flow import analyze_tree
 from repro.lint.flow.callgraph import _GraphBuilder
 from repro.lint.flow.modgraph import build_module_graph
+from repro.lint.par.analysis import _ParAnalysis
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -203,6 +205,16 @@ class TestWorkerRules:
         derived["seed.py"] = derived["seed.py"].replace(
             "derive_seed(seed, item)", "seed")
         assert par_lint(tmp_path, derived) == []
+
+    def test_worker_passed_by_keyword_through_dotted_name(self, tmp_path):
+        tree = {"pool.py": GLOBAL_WRITE["pool.py"].replace(
+            "from repro.runtime import parallel_map",
+            "import repro.runtime").replace(
+            "parallel_map(work, items)",
+            "repro.runtime.parallel_map(fn=work, items=items)")}
+        findings = par_lint(tmp_path, tree)
+        assert [f.code for f in findings] == ["DAS301"]
+        assert "dispatched by parallel_map() at" in findings[0].message
 
     def test_undispatched_hazard_stays_silent(self, tmp_path):
         undispatched = {
@@ -528,6 +540,19 @@ class TestTierRegistry:
 class TestSelfAnalysis:
     def test_src_repro_is_par_clean(self):
         assert lint_tree_par(REPO_SRC) == []
+
+    def test_every_library_worker_is_a_root(self):
+        """The clean self-lint above covers these workers; losing one
+        (the lease worker most of all) would make it vacuous."""
+        roots = _ParAnalysis(analyze_tree(REPO_SRC))._worker_roots()
+        assert set(roots) == {
+            "repro.recast.scan:_evaluate_scan_point",
+            "repro.reconstruction.reconstructor:_reconstruct_event",
+            "repro.service.pool:execute_lease",
+            "repro.workflow.campaign:_process_run_worker",
+        }
+        (lease_site,) = roots["repro.service.pool:execute_lease"]
+        assert lease_site.module == "repro.service.scheduler"
 
     def test_kernels_waiver_is_load_bearing(self, tmp_path):
         """Stripping the one reasoned waiver re-surfaces exactly DAS309."""

@@ -222,6 +222,26 @@ def test_das004_triggers_on_write_through_an_attribute():
     assert "DAS004" in codes(source)
 
 
+def test_das004_triggers_on_open_through_an_attribute():
+    source = """
+    class Writer:
+        def close(self, data):
+            with self.path.open("wb") as handle:
+                handle.write(data)
+    """
+    assert codes(source) == ["DAS004"]
+
+
+def test_das004_triggers_on_os_open():
+    source = """
+    import os
+
+    def detach():
+        return os.open(os.devnull, os.O_WRONLY)
+    """
+    assert "DAS004" in codes(source)
+
+
 def test_das004_clean_on_stream_write_and_str_replace():
     source = """
     def emit(handle, text):

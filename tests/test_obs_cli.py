@@ -92,6 +92,45 @@ class TestTraceOut:
         assert list(tmp_path.glob("*.json")) == []
 
 
+class TestFailedCommandTraceOut:
+    """A traced command that fails still exits 2 with its one-line
+    error, and still writes its run report."""
+
+    def _campaign(self, tmp_path, *extra, report="rr.json"):
+        return main(["campaign", "--name", "obs-cli", "--sections", "2",
+                     "--output", str(tmp_path / "aods.jsonl"),
+                     "--trace-out", str(tmp_path / report),
+                     "--trace-deterministic", *extra])
+
+    def test_report_records_the_error(self, tmp_path, capsys):
+        assert self._campaign(tmp_path, "--runs", "0") == 2
+        err = capsys.readouterr().err
+        assert "error: --runs must be >= 1, got 0" in err
+        record = json.loads((tmp_path / "rr.json").read_bytes())
+        validate_run_report(record)
+        assert record["provenance"] == {
+            "command": "campaign", "error": "--runs must be >= 1, got 0"}
+
+    def test_report_keeps_the_finished_spans(self, tmp_path, capsys):
+        assert self._campaign(tmp_path, "--runs", "2",
+                              "--global-tag", "GT-MISSING") == 2
+        assert "unknown global tag" in capsys.readouterr().err
+        record = json.loads((tmp_path / "rr.json").read_bytes())
+        validate_run_report(record)
+        spans = record["trace"]["spans"]
+        assert [(s["name"], s["status"]) for s in spans] == [
+            ("campaign.process", "error")]
+        assert "unknown global tag" in record["provenance"]["error"]
+
+    def test_failed_save_reports_both_errors(self, tmp_path, capsys):
+        assert self._campaign(tmp_path, "--runs", "0",
+                              report="missing/rr.json") == 2
+        err = capsys.readouterr().err
+        assert "error: --runs must be >= 1, got 0" in err
+        assert "error: cannot write run report" in err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestProcessTraceOut:
     def test_process_writes_validating_report(self, tmp_path):
         gen_path = tmp_path / "gen.jsonl"

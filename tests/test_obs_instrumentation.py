@@ -65,6 +65,20 @@ class TestParallelMapInstrumentation:
         assert 0.0 <= metrics.gauge("runtime.worker_utilization").value \
             <= 1.0
 
+    def test_pooled_path_with_metrics_only_times_every_chunk(self):
+        # No tracer: the chunk timings must still reach the registry.
+        metrics = MetricsRegistry()
+        policy = ExecutionPolicy.threads(2, chunk_size=2)
+        results = parallel_map(_square, list(range(6)), policy,
+                               metrics=metrics)
+        assert results == [v * v for v in range(6)]
+        assert metrics.counter("runtime.chunks").value == 3
+        assert metrics.counter("runtime.items").value == 6
+        assert metrics.histogram("runtime.chunk_seconds").count == 3
+        assert metrics.histogram("runtime.queue_wait_seconds").count == 3
+        assert 0.0 < metrics.gauge("runtime.worker_utilization").value \
+            <= 1.0
+
     def test_process_pool_trace_structure_is_deterministic(self):
         trees = []
         for _ in range(2):
@@ -242,8 +256,9 @@ class TestReconstructionInstrumentation:
         assert outer.attributes["mode"] == "process"
         (scheduler,) = tracer.find("runtime.parallel_map")
         assert scheduler.parent_id == outer.span_id
+        assert scheduler.attributes["n_items"] == len(raws)
         assert len(tracer.find("runtime.chunk")) \
-            == outer.attributes["n_chunks"]
+            == scheduler.attributes["n_chunks"]
 
 
 def _search():

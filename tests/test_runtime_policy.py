@@ -146,9 +146,9 @@ class TestParallelMap:
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 100])
     def test_any_chunking_preserves_order(self, chunk_size):
         items = list(range(17))
-        result = parallel_map(_square, items,
-                              ExecutionPolicy.processes(2),
-                              chunk_size=chunk_size)
+        result = parallel_map(
+            _square, items,
+            ExecutionPolicy.processes(2, chunk_size=chunk_size))
         assert result == [_square(item) for item in items]
 
     def test_empty_input(self):

@@ -16,12 +16,21 @@ from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import ExecutionPolicy, parallel_map
 
-ALL_POLICIES = [
-    pytest.param(None, id="default"),
-    pytest.param(ExecutionPolicy.serial(), id="serial"),
-    pytest.param(ExecutionPolicy.threads(2), id="thread"),
-    pytest.param(ExecutionPolicy.processes(2), id="process"),
-]
+
+def _policies(chunk_size=None):
+    """Every policy kind; the pooled ones cut chunks of ``chunk_size``
+    items (``None``: the default rule)."""
+    return [
+        pytest.param(None, id="default"),
+        pytest.param(ExecutionPolicy.serial(), id="serial"),
+        pytest.param(ExecutionPolicy.threads(2, chunk_size=chunk_size),
+                     id="thread"),
+        pytest.param(ExecutionPolicy.processes(2, chunk_size=chunk_size),
+                     id="process"),
+    ]
+
+
+ALL_POLICIES = _policies()
 
 
 class SelectionError(ValueError):
@@ -48,17 +57,16 @@ class TestExceptionPropagation:
         with pytest.raises(SelectionError, match="cannot select item 3"):
             parallel_map(_fail_on_three, [1, 2, 3, 4], policy)
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("policy", _policies(chunk_size=2))
     def test_failure_in_a_late_chunk_still_raises(self, policy):
         items = list(range(20)) + [3]
         with pytest.raises(SelectionError):
-            parallel_map(_fail_on_three, items, policy, chunk_size=2)
+            parallel_map(_fail_on_three, items, policy)
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    @pytest.mark.parametrize("policy", _policies(chunk_size=1))
     def test_every_chunk_failing_raises_the_first(self, policy):
         with pytest.raises(RuntimeError, match="worker is broken"):
-            parallel_map(_always_fails, [1, 2, 3, 4], policy,
-                         chunk_size=1)
+            parallel_map(_always_fails, [1, 2, 3, 4], policy)
 
     @pytest.mark.parametrize("policy", [
         pytest.param(ExecutionPolicy.threads(2), id="thread"),
@@ -98,8 +106,8 @@ class TestDegenerateInputs:
     def test_chunk_larger_than_input_is_one_chunk(self):
         metrics = MetricsRegistry()
         result = parallel_map(_square, [1, 2, 3],
-                              ExecutionPolicy.processes(2),
-                              chunk_size=100, metrics=metrics)
+                              ExecutionPolicy.processes(2, chunk_size=100),
+                              metrics=metrics)
         assert result == [1, 4, 9]
         assert metrics.counter("runtime.chunks").value == 1
         assert metrics.counter("runtime.items").value == 3
@@ -112,4 +120,4 @@ class TestDegenerateInputs:
     def test_invalid_explicit_chunk_size_raises(self):
         with pytest.raises(ExecutionError, match="chunk_size"):
             parallel_map(_square, [1, 2, 3],
-                         ExecutionPolicy.processes(2), chunk_size=0)
+                         ExecutionPolicy.processes(2, chunk_size=0))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import LeaseError, ServiceError
 from repro.recast import FullChainBackend, ModelSpec
+from repro.runtime import ExecutionPolicy, parallel_map
 from repro.service import (
     CrashingBackend,
     FailingBackend,
@@ -11,7 +12,6 @@ from repro.service import (
     LeaseTask,
     WorkerCrash,
     execute_lease,
-    run_lease_batch,
 )
 from tests.test_recast_requests import make_search
 
@@ -107,11 +107,12 @@ class TestExecuteLease:
         assert "injected worker death" in outcome.error
 
 
-class TestRunLeaseBatch:
+class TestLeaseFanOut:
     def test_outcomes_preserve_task_order(self):
         tasks = [make_task(mass=mass)
                  for mass in (1500.0, 1700.0, 1900.0)]
-        outcomes = run_lease_batch(execute_lease, tasks)
+        outcomes = parallel_map(execute_lease, tasks,
+                                ExecutionPolicy.threads(2, chunk_size=1))
         assert [o.key for o in outcomes] == [t.key for t in tasks]
         assert all(o.status == "ok" for o in outcomes)
 

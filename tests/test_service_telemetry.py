@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.recast import ModelSpec
-from repro.runtime import ExecutionPolicy
+from repro.runtime import ExecutionPolicy, parallel_map
 from repro.service import (
     CrashingBackend,
     RecastService,
@@ -15,7 +15,6 @@ from repro.service import (
     default_service_slo,
     demo_api,
     demo_script,
-    run_lease_batch,
     run_script,
 )
 from repro.obs.slo import evaluate_slo
@@ -276,7 +275,7 @@ class TestRegistryUnderThreads:
                 float(item % 5))
             return item
 
-        run_lease_batch(work, list(range(96)), policy)
+        parallel_map(work, list(range(96)), policy)
         return registry
 
     def test_thread_snapshot_is_byte_identical_to_serial(self):
